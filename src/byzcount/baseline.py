@@ -68,13 +68,10 @@ def run_support_estimation(topo: Topology,
         if byz_value is not None:
             samples[byz_idx] = int(byz_value)
 
-    degrees = np.diff(h.arc_ptr)
-    arc_src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    arc_dst = h.arc_dst
-
     best = samples.copy()
     last_sent = np.zeros(n, dtype=np.int64)
     forwards = np.zeros(n, dtype=np.int64)
+    masked = np.zeros(n + 1, dtype=np.int64)  # masked[n] = 0 under the sentinel
     rounds_run = 0
     for _ in range(rounds):
         send = best > last_sent
@@ -83,10 +80,8 @@ def run_support_estimation(topo: Topology,
         rounds_run += 1
         forwards[send] += 1
         last_sent[send] = best[send]
-        m = send[arc_src]
-        incoming = np.zeros(n, dtype=np.int64)
-        np.maximum.at(incoming, arc_dst[m], best[arc_src[m]])
-        np.maximum(best, incoming, out=best)
+        masked[:n] = np.where(send, best, 0)
+        np.maximum(best, masked[h.ports].max(axis=0), out=best)
 
     return SupportEstimate(samples=samples, final_max=best,
                            rounds_to_converge=rounds_run,

@@ -32,7 +32,10 @@ EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
 _SWEEP_LIST_FIELDS = ("n", "d", "delta", "epsilon", "strategy", "algorithm")
-_SWEEP_FIELDS = _SWEEP_LIST_FIELDS + ("trials", "seed", "cell_cap", "out")
+# config fields a sweep holds fixed: one value shared by every cell
+_SWEEP_SCALAR_FIELDS = ("strategy_params", "engine", "subphase_factor", "phase_cap")
+_SWEEP_FIELDS = (_SWEEP_LIST_FIELDS + _SWEEP_SCALAR_FIELDS
+                 + ("trials", "seed", "cell_cap", "out"))
 
 
 def _outdir() -> str:
@@ -115,25 +118,18 @@ def cmd_sweep(args) -> int:
     trials = args.trials if args.trials is not None else int(spec.get("trials", 1))
     out = args.out or spec.get("out") or os.path.join(_outdir(), "sweep")
 
+    fixed = {name: spec[name] for name in _SWEEP_SCALAR_FIELDS if name in spec}
+    defaults = ExperimentConfig()
     rows = []
     for idx, cell in enumerate(cells):
         cell_seed = int(stream(root_seed, "trial", idx).integers(0, 2**31 - 1))
-        row = {
-            "cell": idx, "n": cell.get("n"), "d": cell.get("d", 8),
-            "delta": cell.get("delta", 0.6), "epsilon": cell.get("epsilon", 0.1),
-            "strategy": cell.get("strategy", "none"),
-            "algorithm": cell.get("algorithm", "basic"),
-            "trials": trials, "cell_seed": cell_seed,
-        }
+        data = dict(fixed, **cell, seed=cell_seed, trials=trials)
+        row = {"cell": idx}
+        row.update({name: data.get(name, getattr(defaults, name))
+                    for name in _SWEEP_LIST_FIELDS})
+        row.update(trials=trials, cell_seed=cell_seed)
         try:
-            cfg = ExperimentConfig(
-                n=int(cell["n"]), d=int(cell.get("d", 8)),
-                delta=float(cell.get("delta", 0.6)),
-                epsilon=float(cell.get("epsilon", 0.1)),
-                strategy=cell.get("strategy", "none"),
-                algorithm=cell.get("algorithm", "basic"),
-                seed=cell_seed, trials=trials).validate()
-            results = run_trials(cfg)
+            results = run_trials(ExperimentConfig.from_dict(data))
         except Exception as exc:  # mark the cell, keep sweeping
             row.update(status=f"failed: {exc}", est_median="", est_q1="",
                        est_q3="", success_mean="", byz_safe_success_mean="",

@@ -9,9 +9,11 @@ constant-length windows after each flooding round and are charged to the
 round count without being simulated as individual messages.
 
 Two interchangeable executors cover every run: a vectorized fast path
-(per-round numpy scatter-max over the H arc list, with per-receiver
-token verification only where Byzantine senders or distorted local views
-are involved) and a per-node reference loop driven entirely by
+(per round, a gather of the senders' colors through the padded H port
+matrix and a max over each node's ports; only the hardened protocol
+keeps predecessors and forwarding logs and re-runs per-receiver token
+verification at the nodes Byzantine senders or distorted local views
+touch) and a per-node reference loop driven entirely by
 ``honest_node_step``/``byzantine_node_step`` plus ``deliver_round``.
 Both consume identical color streams and fold identical per-subphase
 state into the transcript hash, so equality of results is testable.
@@ -275,10 +277,7 @@ class _Run:
         self.n = topo.h.n
         self.d = topo.h.d
         self.k = topo.k
-        h = topo.h
-        self.degrees = np.diff(h.arc_ptr).astype(np.int64)
-        self.arc_src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        self.arc_dst = h.arc_dst.astype(np.int64, copy=False)
+        self.degrees = np.diff(topo.h.arc_ptr).astype(np.int64)
 
         if byz is not None:
             self.byz_nodes = np.asarray(byz, dtype=np.int64)
@@ -314,11 +313,7 @@ class _Run:
             topo, self.byz_nodes, a_radius=cfg.a_radius,
             tree_radius=cfg.tree_radius, delta=cfg.delta)
 
-    # -- full-information hooks for strategies ---------------------------
-
-    def peek_colors(self, phase: int, subphase: int) -> np.ndarray:
-        """The exact color vector honest nodes will draw (adversary may look)."""
-        return self.colors(phase, subphase)
+    # -- color streams ---------------------------------------------------
 
     def colors(self, phase: int, subphase: int) -> np.ndarray:
         rng = stream(self.cfg.seed, "colors", self.trial, phase, subphase)
@@ -419,14 +414,20 @@ class _Run:
 
 def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                    colors: np.ndarray, threshold: float) -> np.ndarray:
-    """One subphase of phase i on the vectorized path; returns k_rows."""
+    """One subphase of phase i on the vectorized path; returns k_rows.
+
+    Each round gathers the senders' colors through the H port matrix and
+    takes the per-node max.  Predecessors, forwarding logs and the
+    correction at nodes a Byzantine sender or a distorted view touches
+    are only kept when the hardened protocol verifies.
+    """
     n, k = run.n, run.k
     cnt = run.counters
     h = run.topo.h
+    ports = h.ports
     byz, crashed, supp = run.byz_mask, run.crashed, run.suppressed
     verifying = run.cfg.algorithm == "byzantine"
     proc = ~crashed & ~supp
-    arc_src, arc_dst = run.arc_src, run.arc_dst
 
     origin = proc & run.active
     best = np.where(origin, colors, 0).astype(np.int64)
@@ -438,6 +439,11 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     send_mask = origin.copy()
     send_color = best.copy()
     send_pred = np.full(n, ORIGIN, dtype=np.int64)
+    # masked[u]: the color u sends clipped at 0, 0 if it sends nothing;
+    # masked[n] stays 0 under the sentinel ports
+    masked = np.zeros(n + 1, dtype=np.int64)
+    byz_send = np.zeros(n + 1, dtype=bool)
+    cols = np.arange(n)
     log: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     extras_next: list[tuple[int, int, int, int]] = []
 
@@ -480,42 +486,37 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                             cnt.dropped += 1
 
     apply_injections(1)
-    log[1] = (send_mask.copy(), send_color.copy(), send_pred.copy())
+    if verifying:
+        log[1] = (send_mask.copy(), send_color.copy(), send_pred.copy())
     n_sent = int(run.degrees[send_mask].sum())
     cnt.sent += n_sent
     cnt.delivered += n_sent
 
     for t in range(2, i + 2):
         extras, extras_next = extras_next, []
-        m = send_mask[arc_src]
-        asrc = arc_src[m]
-        adst = arc_dst[m]
-        acol = send_color[asrc]
-        apred = send_pred[asrc]
-
-        top = np.zeros(n, dtype=np.int64)
-        if asrc.size:
-            np.maximum.at(top, adst, acol)
+        np.multiply(send_color, send_mask, out=masked[:n])
+        np.maximum(masked, 0, out=masked)
+        gathered = masked[ports]
+        top = gathered.max(axis=0)
         for (_, dv, c, _) in extras:
             if c > top[dv]:
                 top[dv] = c
-        minsrc = np.full(n, n, dtype=np.int64)
-        if asrc.size:
-            eq = acol == top[adst]
-            np.minimum.at(minsrc, adst[eq], asrc[eq])
-        for (s, dv, c, _) in extras:
-            if c == top[dv] and s < minsrc[dv]:
-                minsrc[dv] = s
-
         recv_col = np.where(proc, top, 0)
-        recv_src = minsrc
 
         if verifying:
+            # min-sender tie-break: the first port (ports are sorted) whose
+            # color is the top; a top brought only by an extra finds none
+            first = (gathered == top).argmax(axis=0)
+            recv_src = np.where((top >= 1) & (gathered[first, cols] == top),
+                                ports[first, cols], n)
+            for (s, dv, c, _) in extras:
+                if c == top[dv] and s < recv_src[dv]:
+                    recv_src[dv] = s
+
             hop = t - 1
             wl = min(hop, k) - 1
-            touched = np.zeros(n, dtype=bool)
-            if asrc.size:
-                touched[adst[byz[asrc]]] = True
+            byz_send[:n] = byz & send_mask
+            touched = byz_send[ports].any(axis=0)
             for (_, dv, _, _) in extras:
                 touched[dv] = True
             for v in run.lie_rx_set:
@@ -525,12 +526,13 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
 
             hot = touched & proc
             if hot.any():
-                inbox_map: dict[int, list[tuple[int, int, int]]] = {
-                    int(v): [] for v in np.flatnonzero(hot)}
-                if asrc.size:
-                    tm = hot[adst]
-                    for s, dv, c, p in zip(asrc[tm], adst[tm], acol[tm], apred[tm]):
-                        inbox_map[int(dv)].append((int(c), int(s), int(p)))
+                inbox_map: dict[int, list[tuple[int, int, int]]] = {}
+                for v in np.flatnonzero(hot):
+                    row = h.neighbors(v)
+                    row = row[send_mask[row]]
+                    inbox_map[int(v)] = [
+                        (int(c), int(s), int(p)) for s, c, p
+                        in zip(row, send_color[row], send_pred[row])]
                 for s, dv, c, p in extras:
                     if dv in inbox_map:
                         inbox_map[dv].append((c, s, p))
@@ -555,16 +557,19 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
         got = proc & (recv_col >= 1)
         np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
         gain = got & (recv_col > best)
-        best[gain] = recv_col[gain]
-        best_src[gain] = recv_src[gain]
+        np.copyto(best, recv_col, where=gain)
+        if verifying:
+            np.copyto(best_src, recv_src, where=gain)
 
         if t <= i:
             send_mask = proc & (best > last_sent)
             send_color = best.copy()
-            send_pred = best_src.copy()
-            last_sent = np.where(send_mask, best, last_sent)
+            np.copyto(last_sent, best, where=send_mask)
+            if verifying:
+                send_pred = best_src.copy()
             apply_injections(t)
-            log[t] = (send_mask.copy(), send_color.copy(), send_pred.copy())
+            if verifying:
+                log[t] = (send_mask.copy(), send_color.copy(), send_pred.copy())
             n_sent = int(run.degrees[send_mask].sum())
             cnt.sent += n_sent
             cnt.delivered += n_sent
@@ -789,7 +794,8 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
         run.states = _init_states(run)
     subphase = _reference_subphase if reference else _fast_subphase
 
-    overhead = 2 * (run.k - 1) if cfg.algorithm == "byzantine" else 0
+    overhead = (len(verification_subround_scheduler(1, run.k))
+                if cfg.algorithm == "byzantine" else 0)
     cap = cfg.resolved_phase_cap()
     capped = False
     i = 1

@@ -72,6 +72,9 @@ class HMultigraph:
         full 64-bit space; their width carries no information about n.
     seed : int
         Seed the graph (and its ids) were derived from.
+    ports : np.ndarray
+        Shape (max degree, n) intp port matrix (at least one row).  Column
+        v lists ``neighbors(v)`` in order, padded with the sentinel n.
     """
 
     n: int
@@ -85,6 +88,7 @@ class HMultigraph:
     arc_label: np.ndarray = field(init=False, repr=False)
     simple_ptr: np.ndarray = field(init=False, repr=False)
     simple_idx: np.ndarray = field(init=False, repr=False)
+    ports: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
@@ -98,6 +102,12 @@ class HMultigraph:
         np.cumsum(self.arc_ptr, out=self.arc_ptr)
         self.arc_dst = dst
         self.arc_label = lab
+        # ports[r, v] = r-th entry of neighbors(v); max(axis=0) over a gather
+        # through it is the per-node max over in-arcs (H is symmetric)
+        degs = np.diff(self.arc_ptr)
+        width = max(int(degs.max(initial=0)), 1)
+        self.ports = np.full((width, self.n), self.n, dtype=np.intp)
+        self.ports[np.arange(src.size) - self.arc_ptr[src], src] = dst
         # deduplicated neighbor lists for distance queries
         keep = np.ones(len(src), dtype=bool)
         keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])

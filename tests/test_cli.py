@@ -159,6 +159,23 @@ def test_sweep_marks_failed_cells_and_continues(tmp_path):
     assert statuses[0] == "ok" and statuses[1].startswith("failed:")
 
 
+def test_sweep_passes_fixed_fields_to_every_cell(tmp_path):
+    parts = [{"name": "topology_liar"}, {"name": "max_injector"}]
+    spec = _write(tmp_path / "sweep.json",
+                  {"n": [64], "delta": [0.7], "algorithm": ["byzantine"],
+                   "strategy": ["composite"],
+                   "strategy_params": {"parts": parts},
+                   "engine": "fast", "subphase_factor": 1, "phase_cap": 60,
+                   "seed": 2})
+    assert cli.main(["sweep", "--config", spec,
+                     "--out", str(tmp_path / "s")]) == 0
+    lines = (ln for ln in (tmp_path / "s.csv").read_text().splitlines()
+             if not ln.startswith("#"))
+    (row,) = csv.DictReader(lines)
+    assert row["status"] == "ok"
+    assert row["strategy"] == "composite" and row["algorithm"] == "byzantine"
+
+
 def test_sweep_rejects_unknown_fields_and_missing_n(tmp_path):
     bad = _write(tmp_path / "bad.json", {"n": [32], "colour": ["red"]})
     assert cli.main(["sweep", "--config", bad]) == cli.EXIT_CONFIG

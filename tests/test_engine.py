@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from byzcount import engine
 from byzcount.engine import (
     ConfigError,
     ExperimentConfig,
@@ -15,11 +16,12 @@ from byzcount.engine import (
     deliver_round,
     run_experiment,
     run_trials,
+    simulate_subphase,
     verification_subround_scheduler,
     write_summary_json,
     write_trial_csv,
 )
-from byzcount.graph import classify_nodes
+from byzcount.graph import HMultigraph, augment_small_world, classify_nodes
 from byzcount.protocol import ORIGIN, Token
 
 
@@ -175,6 +177,40 @@ def test_fast_and_reference_executors_agree(algorithm, strategy):
     assert fast.messages_sent == ref.messages_sent
     assert fast.queries_total == ref.queries_total
     assert fast.tokens_rejected == ref.tokens_rejected
+
+
+def test_executors_agree_on_an_irregular_tree(tree_d8):
+    # basic only: the reference setup reconstructs every view against
+    # degree d, so the hardened protocol crashes this tree's leaves
+    topo = augment_small_world(tree_d8)
+    results = {}
+    for engine in ("fast", "reference"):
+        cfg = ExperimentConfig(n=tree_d8.n, algorithm="basic", seed=3,
+                               engine=engine)
+        results[engine] = run_experiment(cfg, topo=topo)
+    fast, ref = results["fast"], results["reference"]
+    assert fast.transcript_hash == ref.transcript_hash
+    np.testing.assert_array_equal(fast.decided, ref.decided)
+    assert fast.messages_sent == ref.messages_sent
+    assert fast.queries_total == ref.queries_total
+
+
+def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):
+    # on a 6-cycle, Byzantine node 0 hears color 5 from both neighbors 1
+    # and 5 and relays it in round 2 with the smaller sender as predecessor
+    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
+    seen = []
+    real = engine.verify_color_provenance
+
+    def spy(view, tok, query):
+        seen.append(tok)
+        return real(view, tok, query)
+
+    monkeypatch.setattr(engine, "verify_color_provenance", spy)
+    simulate_subphase(augment_small_world(h, k=1), 2,
+                      colors=[1, 5, 1, 1, 1, 5], byz=np.array([0]),
+                      strategy="honest_mimic", relax_degree=True)
+    assert {(t.color, t.pred) for t in seen if t.hop == 2} == {(5, 1)}
 
 
 # ---------------------------------------------------------------------------

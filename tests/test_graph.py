@@ -85,6 +85,46 @@ def test_parallel_pair_count_matches_analytic_mean():
 
 
 # ---------------------------------------------------------------------------
+# port matrix
+# ---------------------------------------------------------------------------
+
+def _assert_ports_list_neighbors(h):
+    degs = np.diff(h.arc_ptr)
+    assert h.ports.shape == (max(int(degs.max()), 1), h.n)
+    for v in range(h.n):
+        col = h.ports[:, v]
+        assert col[:degs[v]].tolist() == h.neighbors(v).tolist()
+        assert np.all(col[degs[v]:] == h.n)
+
+
+def test_ports_on_irregular_fixtures(path6, tree_d8):
+    _assert_ports_list_neighbors(path6.h)
+    assert path6.h.ports.T.tolist() == [[1, 6], [0, 2], [1, 3], [2, 4],
+                                        [3, 5], [4, 6]]
+    _assert_ports_list_neighbors(tree_d8)
+    assert tree_d8.ports[:, 0].tolist() == list(range(1, 9))
+    assert tree_d8.ports[:, 1].tolist() == [0] + list(range(9, 16))
+    assert tree_d8.ports[:, 64].tolist() == [8] + [65] * 7
+
+
+def test_ports_keep_parallel_edges():
+    h = HMultigraph.from_edges(4, 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                      (3, 0, 2), (1, 0, 2)])
+    _assert_ports_list_neighbors(h)
+    assert h.ports.T.tolist() == [[1, 1, 3], [0, 0, 2], [1, 3, 4], [0, 2, 4]]
+
+
+def test_port_gather_equals_arc_scatter(tree_d8):
+    rng = np.random.default_rng(0)
+    for h in (tree_d8, generate_h_graph(40, 4, seed=2)):
+        send = np.append(rng.geometric(0.5, size=h.n) * (rng.random(h.n) < 0.5), 0)
+        src = np.repeat(np.arange(h.n), np.diff(h.arc_ptr))
+        scatter = np.zeros(h.n, dtype=np.int64)
+        np.maximum.at(scatter, h.arc_dst, send[src])
+        np.testing.assert_array_equal(send[h.ports].max(axis=0), scatter)
+
+
+# ---------------------------------------------------------------------------
 # small-world augmentation
 # ---------------------------------------------------------------------------
 
