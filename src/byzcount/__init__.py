@@ -21,6 +21,7 @@ from .graph import (
     default_a_radius,
     default_tree_radius,
     ball,
+    balls,
     boundary,
     g_ball,
     reach_within,
@@ -95,7 +96,7 @@ __all__ = [
     "HMultigraph", "Topology", "NodeClassification", "SpectralEstimate",
     "PowerIterationError", "generate_h_graph", "derive_node_ids",
     "augment_small_world", "default_k", "default_a_radius",
-    "default_tree_radius", "ball", "boundary", "g_ball",
+    "default_tree_radius", "ball", "balls", "boundary", "g_ball",
     "full_tree_ball_size", "is_locally_tree_like", "census_locally_tree_like",
     "place_byzantine", "classify_nodes", "longest_byzantine_chain",
     "count_parallel_pairs", "estimate_spectral_gap", "save_topology",

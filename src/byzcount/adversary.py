@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import balls
 from .protocol import ORIGIN, RoundContext
 
 __all__ = [
@@ -249,26 +250,28 @@ class _TopologyLiar(AdversaryStrategy):
         for b in sorted(byz):
             ports = tuple(int(x) for x in h.neighbors(b))
             self._ports[b] = ports
-            nbrs = sorted(set(ports))
-            if not nbrs:
-                continue
-            hidden = nbrs[0]
-            phantom = n + b  # out-of-range index: guaranteed fake
-            self._lies[b] = (hidden, phantom)
-            if self.target_mode == "broadcast":
-                self._targets[b] = set(int(x) for x in topo.l_neighbors(b))
+            if ports:
+                # hidden = the smallest neighbor; phantom is out of range,
+                # so guaranteed fake
+                self._lies[b] = (min(ports), n + b)
+        liars = sorted(self._lies)
+        if self.target_mode == "broadcast":
+            for b in liars:
+                self._targets[b] = set(topo.l_neighbors(b).tolist())
+            return
+        # honest victims that can hear both the lie (within k-1 of b) and
+        # the hidden child (within k of it)
+        near_liar = balls(h, liars, topo.k - 1)
+        near_hidden = balls(h, [self._lies[b][0] for b in liars], topo.k)
+        for b, pool_b, pool_hidden in zip(liars, near_liar, near_hidden):
+            hidden = self._lies[b][0]
+            pool = np.intersect1d(pool_b, pool_hidden, assume_unique=True)
+            candidates = [v for v in pool.tolist() if v not in byz and v != hidden]
+            if candidates:
+                pick = candidates[int(rng.integers(0, len(candidates)))]
+                self._targets[b] = {pick}
             else:
-                # honest victims that can hear both the lie and the hidden child
-                candidates = [
-                    v for v in sorted(set(int(x) for x in topo.l_neighbors(b)))
-                    if v not in byz and v != hidden
-                    and _within(h, v, b, topo.k - 1) and _within(h, v, hidden, topo.k)
-                ]
-                if candidates:
-                    pick = candidates[int(rng.integers(0, len(candidates)))]
-                    self._targets[b] = {pick}
-                else:
-                    self._targets[b] = set()
+                self._targets[b] = set()
 
     def setup_report(self, node, receiver):
         if node in self._lies and receiver in self._targets.get(node, ()):
@@ -284,31 +287,6 @@ class _TopologyLiar(AdversaryStrategy):
         for t in self._targets.values():
             out |= t
         return out
-
-    def targeted_victims(self) -> dict[int, set[int]]:
-        return {b: set(t) for b, t in self._targets.items()}
-
-
-def _within(h, a: int, b: int, r: int) -> bool:
-    """dist_H(a, b) <= r, by truncated BFS from a."""
-    if a == b:
-        return True
-    if r <= 0:
-        return False
-    seen = {a}
-    frontier = [a]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in h.simple_neighbors(u):
-                w = int(w)
-                if w == b:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return False
 
 
 def strategy_topology_liar(target_mode: str = "auto") -> AdversaryStrategy:

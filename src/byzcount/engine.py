@@ -37,6 +37,7 @@ from .graph import (
     classify_nodes,
     generate_h_graph,
     place_byzantine,
+    reach_within,
 )
 from .protocol import (
     ORIGIN,
@@ -226,7 +227,7 @@ def deliver_round(outboxes, topo: Topology, counters: _Counters) -> dict[int, li
 def _is_g_edge(topo: Topology, u: int, v: int) -> bool:
     if not (0 <= u < topo.h.n and 0 <= v < topo.h.n):
         return False
-    row = topo.l_idx[topo.l_ptr[u]:topo.l_ptr[u + 1]]
+    row = topo.l_neighbors(u)
     pos = np.searchsorted(row, v)
     return pos < row.size and row[pos] == v
 
@@ -340,7 +341,10 @@ class _Run:
         ``full`` reconstructs every node's view (reference executor);
         otherwise only receivers of untruthful reports are reconstructed
         and everyone else keeps a faithful stand-in view, which is exact
-        because truthful reports always reconstruct faithfully.
+        because truthful reports always reconstruct faithfully.  A truthful
+        report is as long as its sender's H-degree, so the fast path still
+        crashes, as reconstruction would, every honest node that hears a
+        report from a node of degree other than d within H-distance k.
         """
         cfg = self.cfg
         report_senders = ~self.suppressed
@@ -353,6 +357,13 @@ class _Run:
         if self.strategy is not None:
             self.lie_rx_set = {int(v) for v in self.strategy.lie_receivers()
                                if not self.byz_mask[v]}
+        if not full:
+            silent = self.strategy is not None and not self.strategy.sends_reports
+            odd = (self.degrees != self.d) & ~(self.byz_mask & silent)
+            for u in np.flatnonzero(odd):
+                hears = reach_within(self.topo.h, [u], self.k)
+                hears[u] = False
+                self.crashed |= hears & ~self.byz_mask
         receivers = range(self.n) if full else sorted(self.lie_rx_set)
         for v in receivers:
             reports = {}
@@ -683,10 +694,6 @@ class RunResult:
     tokens_malformed: int
     per_phase: list
     transcript_hash: str
-
-    @property
-    def estimates(self) -> np.ndarray:
-        return self.decided
 
     def to_summary(self) -> dict:
         honest = ~self.byz_mask

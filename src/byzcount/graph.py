@@ -5,6 +5,12 @@ the union of d/2 uniformly random Hamiltonian cycles.  A small-world layer L
 connects every pair of nodes at H-distance at most k = ceil(d/3); the full
 graph G = H + L is what Byzantine-tolerant runs communicate over.
 
+L is implicit: it is served from H by one vectorized ball kernel over the
+port matrix.  The kernel gathers every walk of length <= r from a block of
+centers, sorts each center's row of walk ends and keeps the distinct nodes.
+Building a topology only counts G-degrees; a node's G-row is built when it
+is first asked for, and the whole table only for callers that read it.
+
 This module owns everything structural: generation, the L augmentation,
 ball/boundary queries, the locally-tree-like census, node classification
 relative to a Byzantine placement, Byzantine chain search, a spectral
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +41,7 @@ __all__ = [
     "default_a_radius",
     "augment_small_world",
     "ball",
+    "balls",
     "boundary",
     "g_ball",
     "reach_within",
@@ -142,6 +150,22 @@ class HMultigraph:
     def degree(self, v: int) -> int:
         return int(self.arc_ptr[v + 1] - self.arc_ptr[v])
 
+    @cached_property
+    def walk_table(self) -> np.ndarray:
+        """Shape (n+1, max degree+1) one-step table for the ball kernel.
+
+        Row v is v itself followed by column v of ``ports``; row n, the
+        sentinel, maps to itself.  Gathering a walk end through it yields
+        the end again (a stay) and every one-hop extension.
+        """
+        width, n = self.ports.shape
+        dtype = np.int32 if n < 2**31 - 1 else np.int64
+        table = np.empty((n + 1, width + 1), dtype=dtype)
+        table[:, 0] = np.arange(n + 1)
+        table[:n, 1:] = self.ports.T
+        table[n, 1:] = n
+        return table
+
     def adjacency(self, weighted: bool = True) -> sp.csr_matrix:
         """Sparse adjacency matrix; weights are edge multiplicities."""
         m = self.edges.shape[0]
@@ -156,25 +180,44 @@ class HMultigraph:
 
 @dataclass
 class Topology:
-    """H plus its small-world layer.
+    """H plus its implicit small-world layer.
 
-    ``l_ptr``/``l_idx`` is a CSR table whose row v lists every node at
-    H-distance in [1, k] from v, sorted.  Because H-neighbors are at
-    distance 1 <= k, this row is exactly v's neighborhood in G.
+    Row v of L lists every node at H-distance in [1, k] from v, sorted.
+    Because H-neighbors are at distance 1 <= k, this row is exactly v's
+    neighborhood in G.  ``l_ptr`` holds the (n+1) prefix sum of G-degrees
+    and is built with the topology.  ``l_neighbors(v)`` builds v's row on
+    first use and keeps it.  ``l_idx``, the rows concatenated into one CSR
+    table, is built by the block kernel on first access; only whole-table
+    callers need it.
     """
 
     h: HMultigraph
     k: int
     l_ptr: np.ndarray = field(repr=False)
-    l_idx: np.ndarray = field(repr=False)
+    _rows: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                         repr=False)
 
     @property
     def n(self) -> int:
         return self.h.n
 
+    @cached_property
+    def l_idx(self) -> np.ndarray:
+        """All rows of L back to back, row v at ``l_ptr[v]:l_ptr[v+1]``."""
+        out = np.empty(int(self.l_ptr[-1]), dtype=np.int64)
+        for c, ends, keep in _ball_blocks(self.h, np.arange(self.n), self.k):
+            keep &= ends != c[:, None]
+            out[self.l_ptr[c[0]]:self.l_ptr[c[-1] + 1]] = ends[keep]
+        return out
+
     def l_neighbors(self, v: int) -> np.ndarray:
         """Nodes at H-distance in [1, k] from v (== v's G-neighborhood)."""
-        return self.l_idx[self.l_ptr[v]:self.l_ptr[v + 1]]
+        v = int(v)
+        row = self._rows.get(v)
+        if row is None:
+            row = balls(self.h, [v], self.k)[0]
+            row = self._rows[v] = row[row != v]
+        return row
 
     def g_degree(self, v: int) -> int:
         return int(self.l_ptr[v + 1] - self.l_ptr[v])
@@ -298,6 +341,9 @@ def default_a_radius(n: int, d: int, k: int, delta: float) -> int:
 def augment_small_world(h: HMultigraph, k: int | None = None) -> Topology:
     """Attach the small-world layer: all pairs at H-distance <= k.
 
+    Only the G-degrees are computed here; rows of L are served on demand
+    (see ``Topology``).
+
     Parameters
     ----------
     h : HMultigraph
@@ -307,29 +353,17 @@ def augment_small_world(h: HMultigraph, k: int | None = None) -> Topology:
     Returns
     -------
     Topology
-        Holds h, k and the per-node G-neighborhood table.
+        Holds h, k and the prefix sum of G-degrees.
     """
     if k is None:
         k = default_k(h.d)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = h.n
-    a = sp.csr_matrix(
-        (np.ones(len(h.simple_idx), dtype=bool),
-         h.simple_idx,
-         h.simple_ptr.astype(np.int64)),
-        shape=(n, n),
-    )
-    reach = a + sp.identity(n, dtype=bool, format="csr")
-    closure = reach
-    for _ in range(k - 1):
-        closure = (closure @ reach).astype(bool)
-    closure = closure.tocsr()
-    closure.setdiag(False)
-    closure.eliminate_zeros()
-    closure.sort_indices()
-    return Topology(h=h, k=k, l_ptr=closure.indptr.astype(np.int64),
-                    l_idx=closure.indices.astype(np.int64))
+    l_ptr = np.zeros(h.n + 1, dtype=np.int64)
+    for c, _, keep in _ball_blocks(h, np.arange(h.n), k):
+        l_ptr[c + 1] = np.count_nonzero(keep, axis=1) - 1
+    np.cumsum(l_ptr, out=l_ptr)
+    return Topology(h=h, k=k, l_ptr=l_ptr)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +398,48 @@ def ball(h: HMultigraph, v: int, r: int) -> np.ndarray:
         raise ValueError("radius must be >= 0")
     nodes, _ = _bfs_levels(h, v, r)
     return nodes
+
+
+# walk ends the ball kernel holds at once: blocks of centers share this budget
+_BLOCK_ELEMENTS = 1 << 21
+
+
+def _ball_blocks(h: HMultigraph, centers: np.ndarray, r: int):
+    """Walk the ball kernel over ``centers`` in fixed-size blocks.
+
+    Yields ``(c, ends, keep)`` per block.  Row i of ``ends`` holds, sorted,
+    the end of every walk of length <= r from ``c[i]`` through
+    ``h.walk_table`` (a walk through a padding port ends at the sentinel n).
+    ``keep`` marks the first copy of each node, so row i of ``ends[keep]``
+    is B(c[i], r).  A row is (max degree + 1)^r wide, so the kernel suits
+    radii up to k.
+    """
+    table = h.walk_table
+    centers = np.asarray(centers, dtype=table.dtype)
+    step = max(1, _BLOCK_ELEMENTS // table.shape[1] ** r)
+    for lo in range(0, centers.size, step):
+        c = centers[lo:lo + step]
+        ends = c[:, None]
+        for _ in range(r):
+            ends = table[ends].reshape(c.size, -1)
+        ends.sort(axis=1)
+        keep = ends != h.n
+        keep[:, 1:] &= ends[:, 1:] != ends[:, :-1]
+        yield c, ends, keep
+
+
+def balls(h: HMultigraph, centers, r: int) -> list[np.ndarray]:
+    """B(c, r) for each center c, sorted, c included, by the ball kernel.
+
+    Equal to ``ball(h, c, r)``; meant for radii up to k, where the kernel's
+    (max degree + 1)^r walks per center stay small.
+    """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    out: list[np.ndarray] = []
+    for _, ends, keep in _ball_blocks(h, centers, r):
+        out.extend(row[m].astype(np.int64) for row, m in zip(ends, keep))
+    return out
 
 
 def boundary(h: HMultigraph, v: int, r: int) -> np.ndarray:

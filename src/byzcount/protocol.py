@@ -185,10 +185,6 @@ class NodeState:
     dropped: int = 0
     rejected: int = 0
 
-    @property
-    def estimate(self) -> int | None:
-        return self.decided
-
 
 @dataclass(frozen=True)
 class RoundContext:

@@ -1,5 +1,7 @@
 """Adversary strategies: what each attack does, and what the defense rejects."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from byzcount.adversary import (
 from byzcount.engine import ExperimentConfig, run_experiment, simulate_subphase
 from byzcount.graph import longest_byzantine_chain, place_byzantine
 from byzcount.protocol import ORIGIN
+from byzcount.rng import stream
 
 
 def _g_neighbor_mask(topo, nodes):
@@ -185,6 +188,66 @@ def test_topology_liar_crashes_exactly_its_victims(topo512):
                                algorithm="byzantine", seed=seed)
         assert tr.crashed.sum() == 1            # the attack always lands
         assert not tr.crashed[~near].any()      # and never reaches further
+
+
+def _within(h, a, b, r):
+    """dist_H(a, b) <= r, by truncated BFS from a."""
+    if a == b:
+        return True
+    seen, frontier = {a}, [a]
+    for _ in range(max(r, 0)):
+        nxt = []
+        for u in frontier:
+            for w in h.simple_neighbors(u):
+                w = int(w)
+                if w == b:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return False
+
+
+def _within_rule_victims(topo, byz, rng):
+    """Auto-mode victims by the per-pair distance rule: one uniform pick
+    among the honest G-neighbors v of b with dist(v, b) <= k-1 and
+    dist(v, hidden) <= k, where hidden is b's smallest neighbor."""
+    h, k = topo.h, topo.k
+    byz = set(int(b) for b in byz)
+    victims = {}
+    for b in sorted(byz):
+        nbrs = sorted(set(int(x) for x in h.neighbors(b)))
+        if not nbrs:
+            continue
+        hidden = nbrs[0]
+        candidates = [v for v in topo.l_neighbors(b).tolist()
+                      if v not in byz and v != hidden
+                      and _within(h, v, b, k - 1) and _within(h, v, hidden, k)]
+        victims[b] = ({candidates[int(rng.integers(0, len(candidates)))]}
+                      if candidates else set())
+    return victims
+
+
+def _lied_to(topo, liar, b):
+    return {v for v in range(topo.n) if liar.setup_report(b, v) is not None}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_topology_liar_victims_follow_the_distance_rule(topo512, seed):
+    byz = place_byzantine(topo512.n, 0.6, seed=seed)
+    run = SimpleNamespace(topo=topo512, byz_nodes=byz,
+                          adv_rng=stream(seed, "adversary", 0))
+    liar = make_strategy("topology_liar")
+    liar.prepare(run)
+    want = _within_rule_victims(topo512, byz, stream(seed, "adversary", 0))
+    assert {b: _lied_to(topo512, liar, b) for b in want} == want
+    assert any(want.values())
+
+    broadcast = make_strategy("topology_liar", {"target_mode": "broadcast"})
+    broadcast.prepare(run)
+    for b in byz.tolist():
+        assert _lied_to(topo512, broadcast, b) == set(topo512.l_neighbors(b).tolist())
 
 
 def test_topology_liar_is_deterministic(topo512):

@@ -180,19 +180,39 @@ def test_fast_and_reference_executors_agree(algorithm, strategy):
 
 
 def test_executors_agree_on_an_irregular_tree(tree_d8):
-    # basic only: the reference setup reconstructs every view against
-    # degree d, so the hardened protocol crashes this tree's leaves
+    # the leaves have degree 1, so under the hardened protocol every honest
+    # node hearing a leaf's report crashes in both executors
     topo = augment_small_world(tree_d8)
+    for algorithm, strategy in (("basic", "none"), ("byzantine", "none"),
+                                ("byzantine", "max_injector")):
+        results = {}
+        for engine in ("fast", "reference"):
+            cfg = ExperimentConfig(n=tree_d8.n, algorithm=algorithm,
+                                   strategy=strategy, seed=3, engine=engine)
+            results[engine] = run_experiment(cfg, topo=topo)
+        fast, ref = results["fast"], results["reference"]
+        assert fast.transcript_hash == ref.transcript_hash
+        np.testing.assert_array_equal(fast.decided, ref.decided)
+        np.testing.assert_array_equal(fast.crashed, ref.crashed)
+        assert fast.messages_sent == ref.messages_sent
+        assert fast.queries_total == ref.queries_total
+        assert (fast.crashed_honest > 0) == (algorithm == "byzantine")
+
+
+@pytest.mark.parametrize("strategy,byz,crashed", [
+    ("none", None, [1, 4]),           # the ends hear only degree-2 reports
+    ("silent", np.array([0]), [4]),   # a silent end sends no report at all
+])
+def test_executors_agree_on_who_hears_a_short_report(path6, strategy, byz, crashed):
     results = {}
     for engine in ("fast", "reference"):
-        cfg = ExperimentConfig(n=tree_d8.n, algorithm="basic", seed=3,
-                               engine=engine)
-        results[engine] = run_experiment(cfg, topo=topo)
+        cfg = ExperimentConfig(n=6, d=2, relax_degree=True, algorithm="byzantine",
+                               strategy=strategy, seed=3, engine=engine)
+        results[engine] = run_experiment(cfg, topo=path6, byz=byz)
     fast, ref = results["fast"], results["reference"]
     assert fast.transcript_hash == ref.transcript_hash
-    np.testing.assert_array_equal(fast.decided, ref.decided)
-    assert fast.messages_sent == ref.messages_sent
-    assert fast.queries_total == ref.queries_total
+    assert np.flatnonzero(fast.crashed).tolist() == crashed
+    np.testing.assert_array_equal(fast.crashed, ref.crashed)
 
 
 def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):

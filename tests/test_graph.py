@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byzcount import graph
+from byzcount.engine import _is_g_edge
 from byzcount.graph import (
     HMultigraph,
     PowerIterationError,
     augment_small_world,
     ball,
+    balls,
     boundary,
     census_locally_tree_like,
     classify_nodes,
@@ -156,6 +160,59 @@ def test_l_rows_match_brute_force_bfs():
     for v in range(150):
         expected = sorted(bfs_ball(adj, v, topo.k) - {v})
         np.testing.assert_array_equal(topo.l_neighbors(v), expected)
+
+
+def _closure_layer(h, k):
+    """L as the sparse boolean closure (A + I)^k without its diagonal: the
+    materialized table the implicit layer must reproduce, as CSR arrays."""
+    n = h.n
+    a = sp.csr_matrix((np.ones(len(h.simple_idx), dtype=bool), h.simple_idx,
+                       h.simple_ptr.astype(np.int64)), shape=(n, n))
+    reach = a + sp.identity(n, dtype=bool, format="csr")
+    closure = reach
+    for _ in range(k - 1):
+        closure = (closure @ reach).astype(bool)
+    closure = closure.tocsr()
+    closure.setdiag(False)
+    closure.eliminate_zeros()
+    closure.sort_indices()
+    return closure.indptr.astype(np.int64), closure.indices.astype(np.int64)
+
+
+def _assert_layer_matches_closure(h, k):
+    topo = augment_small_world(h, k=k)
+    ptr, idx = _closure_layer(h, k)
+    np.testing.assert_array_equal(topo.l_ptr, ptr)
+    for v in range(h.n):
+        row = idx[ptr[v]:ptr[v + 1]]
+        np.testing.assert_array_equal(topo.l_neighbors(v), row)
+        assert topo.g_degree(v) == row.size
+        np.testing.assert_array_equal(balls(h, [v], k)[0], ball(h, v, k))
+        members = set(row.tolist())
+        for u in range(-1, h.n + 1):
+            assert _is_g_edge(topo, v, u) == (u in members)
+    np.testing.assert_array_equal(topo.l_idx, idx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 40), d=st.sampled_from([2, 4, 8]),
+       k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_implicit_layer_equals_closure(n, d, k, seed):
+    _assert_layer_matches_closure(generate_h_graph(n, d, seed), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["tree_d8", "path6", "cycle4"])
+def test_implicit_layer_equals_closure_on_fixtures(request, name, k):
+    g = request.getfixturevalue(name)
+    _assert_layer_matches_closure(getattr(g, "h", g), k)
+
+
+def test_implicit_layer_does_not_depend_on_the_block_size(monkeypatch, topo200):
+    monkeypatch.setattr(graph, "_BLOCK_ELEMENTS", 1000)   # one center per block
+    small = augment_small_world(topo200.h)
+    np.testing.assert_array_equal(small.l_ptr, topo200.l_ptr)
+    np.testing.assert_array_equal(small.l_idx, topo200.l_idx)
 
 
 def test_l_rows_are_symmetric(topo200):
