@@ -44,7 +44,6 @@ from .protocol import (
     RoundContext,
     TopologyConflict,
     LocalView,
-    draw_color,
     draw_colors,
     alpha_subphases,
     continuation_threshold,
@@ -102,7 +101,7 @@ __all__ = [
     "count_parallel_pairs", "estimate_spectral_gap", "save_topology",
     "load_topology", "reach_within",
     "ORIGIN", "Token", "PhaseParams", "NodeState", "RoundContext",
-    "TopologyConflict", "LocalView", "draw_color", "draw_colors",
+    "TopologyConflict", "LocalView", "draw_colors",
     "alpha_subphases", "continuation_threshold", "phase_params",
     "honest_node_step", "byzantine_node_step", "reconstruct_local_topology",
     "verify_color_provenance",

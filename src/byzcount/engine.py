@@ -14,9 +14,14 @@ matrix and a max over each node's ports; only the hardened protocol
 keeps predecessors and forwarding logs and re-runs per-receiver token
 verification at the nodes Byzantine senders or distorted local views
 touch) and a per-node reference loop driven entirely by
-``honest_node_step``/``byzantine_node_step`` plus ``deliver_round``.
-Both consume identical color streams and fold identical per-subphase
-state into the transcript hash, so equality of results is testable.
+``byzantine_node_step`` (the honest transition for nodes without a
+policy) plus ``deliver_round``.  Both consume identical color streams and
+fold identical per-subphase state into the transcript hash, so equality
+of results is testable.
+The reference copies one node state per node step and keeps forwarding
+logs per subphase, so it grows linearly with run length; on a 2-core Xeon
+VM a hardened trial takes ~0.2 s at n=128 and ~5 s at n=1024 (mostly
+setup reconstruction), where the fast path takes ~0.1 s.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import hashlib
 import json
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -47,7 +53,7 @@ from .protocol import (
     TopologyConflict,
     byzantine_node_step,
     continuation_threshold,
-    honest_node_step,
+    draw_colors,
     phase_params,
     reconstruct_local_topology,
     verify_color_provenance,
@@ -213,14 +219,19 @@ def deliver_round(outboxes, topo: Topology, counters: _Counters) -> dict[int, li
     of the sender are dropped and counted; everything else is delivered.
     """
     inboxes: dict[int, list[Token]] = {}
+    sent = delivered = 0
     for sender, pairs in outboxes.items():
+        # the sender's sorted G-row, looked up once for all its messages
+        row = topo.l_neighbors(sender).tolist() if 0 <= sender < topo.h.n else []
         for dst, tok in pairs:
-            counters.sent += 1
-            if tok.src != sender or not _is_g_edge(topo, sender, dst):
-                counters.dropped += 1
-                continue
-            counters.delivered += 1
-            inboxes.setdefault(dst, []).append(tok)
+            sent += 1
+            pos = bisect_left(row, dst)
+            if tok.src == sender and pos < len(row) and row[pos] == dst:
+                delivered += 1
+                inboxes.setdefault(dst, []).append(tok)
+    counters.sent += sent
+    counters.delivered += delivered
+    counters.dropped += sent - delivered
     return inboxes
 
 
@@ -317,15 +328,17 @@ class _Run:
     # -- color streams ---------------------------------------------------
 
     def colors(self, phase: int, subphase: int) -> np.ndarray:
-        rng = stream(self.cfg.seed, "colors", self.trial, phase, subphase)
-        return rng.geometric(0.5, size=self.n).astype(np.int64)
+        return draw_colors(stream(self.cfg.seed, "colors", self.trial, phase, subphase),
+                           self.n)
 
     # -- setup ----------------------------------------------------------
 
-    def truthful_report(self, v: int) -> list[int]:
-        return [int(x) for x in self.topo.h.neighbors(v)]
+    def truthful_report(self, v: int) -> tuple[int, ...]:
+        # built per call: keeping the tuples of the ~38k report senders a
+        # 2^16 run's lie receivers hear costs ~9 MiB of peak RSS there
+        return tuple(self.topo.h.neighbors(v).tolist())
 
-    def report_for(self, sender: int, receiver: int) -> list[int] | None:
+    def report_for(self, sender: int, receiver: int) -> tuple[int, ...] | list[int] | None:
         """The adjacency list ``sender`` hands ``receiver``; None = silent."""
         if self.byz_mask[sender] and self.strategy is not None:
             if not self.strategy.sends_reports:
@@ -367,13 +380,12 @@ class _Run:
         receivers = range(self.n) if full else sorted(self.lie_rx_set)
         for v in receivers:
             reports = {}
-            for u in self.topo.l_neighbors(v):
-                u = int(u)
+            for u in self.topo.l_neighbors(v).tolist():
                 rep = self.report_for(u, v)
                 if rep is not None:
                     reports[u] = rep
             res = reconstruct_local_topology(
-                v, tuple(self.truthful_report(v)), reports, self.k,
+                v, self.truthful_report(v), reports, self.k,
                 expected_degree=self.d)
             if isinstance(res, TopologyConflict):
                 if not self.byz_mask[v]:
@@ -606,11 +618,8 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
 
 
 def _init_states(run: _Run) -> dict[int, NodeState]:
-    states = {}
-    for v in range(run.n):
-        ports = tuple(int(x) for x in run.topo.h.neighbors(v))
-        states[v] = NodeState(node=v, ports=ports, crashed=bool(run.crashed[v]))
-    return states
+    return {v: NodeState(node=v, ports=run.truthful_report(v), crashed=bool(run.crashed[v]))
+            for v in range(run.n)}
 
 
 def _reference_subphase(run: _Run, i: int, j: int, last: bool,
@@ -626,16 +635,18 @@ def _reference_subphase(run: _Run, i: int, j: int, last: bool,
         def verify_cb(node: int, tok: Token) -> bool:
             return run.verify_token(node, tok, i, j, get_log)
 
+    common = dict(phase=i, subphase=j, flood_rounds=i, threshold=threshold,
+                  last_subphase=last, verify=verify_cb)
+    policies = [run.strategy if b else None for b in run.byz_mask.tolist()]
     inboxes: dict[int, list[Token]] = {}
     for t in range(1, i + 2):
         outboxes: dict[int, list[tuple[int, Token]]] = {}
-        ctx_common = dict(phase=i, subphase=j, t=t, flood_rounds=i,
-                          threshold=threshold, last_subphase=last,
-                          verify=verify_cb)
-        for v in range(run.n):
-            ctx = RoundContext(own_color=int(colors[v]), **ctx_common)
-            policy = run.strategy if run.byz_mask[v] else None
-            nst, out = byzantine_node_step(states[v], inboxes.get(v, []), ctx, policy)
+        # only round 1 reads a node's own color
+        ctxs = ([RoundContext(t=1, own_color=c, **common) for c in colors.tolist()]
+                if t == 1 else [RoundContext(t=t, **common)] * run.n)
+        for v, ctx in enumerate(ctxs):
+            nst, out = byzantine_node_step(states[v], inboxes.get(v, ()), ctx,
+                                           policies[v])
             states[v] = nst
             if out:
                 outboxes[v] = out

@@ -17,7 +17,7 @@ walks the claimed forwarding chain backwards over L edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "RoundContext",
     "LocalView",
     "TopologyConflict",
-    "draw_color",
     "draw_colors",
     "alpha_subphases",
     "continuation_threshold",
@@ -76,11 +75,6 @@ class PhaseParams:
 # ---------------------------------------------------------------------------
 # colors and phase schedule
 # ---------------------------------------------------------------------------
-
-
-def draw_color(rng: np.random.Generator) -> int:
-    """One color: number of fair-coin flips up to and including the first heads."""
-    return int(rng.geometric(0.5))
 
 
 def draw_colors(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -167,8 +161,9 @@ class NodeState:
 
     ``fwd_log`` maps (phase, subphase, round) to the (color, predecessor)
     the node sent that round; it is what the node answers verification
-    queries from.  ``best``/``best_src``/``last_sent`` and ``k_values``
-    are subphase-local and reset by round 1 of each subphase.
+    queries from, and queries only ever ask about the current subphase.
+    ``fwd_log``, ``k_values`` and ``best``/``best_src``/``last_sent`` are
+    subphase-local and reset by round 1 of each subphase.
     """
 
     node: int
@@ -208,6 +203,19 @@ class RoundContext:
     verify: Callable[[int, Token], bool] | None = None
 
 
+def _successor(state: NodeState, t: int) -> NodeState:
+    """Shallow copy of ``state`` for round t: round 1 starts the
+    subphase-local fields afresh, later rounds copy the two tables."""
+    st = object.__new__(NodeState)
+    st.__dict__.update(state.__dict__)
+    if t == 1:
+        st.k_values, st.fwd_log = {}, {}
+        st.best, st.best_src, st.last_sent = 0, ORIGIN, 0
+    else:
+        st.k_values, st.fwd_log = dict(state.k_values), dict(state.fwd_log)
+    return st
+
+
 def honest_node_step(state: NodeState, inbox: Iterable[Token],
                      ctx: RoundContext) -> tuple[NodeState, list[tuple[int, Token]]]:
     """Pure transition of an honest node for one engine round.
@@ -218,17 +226,13 @@ def honest_node_step(state: NodeState, inbox: Iterable[Token],
     counted.  Decided nodes keep forwarding but no longer draw colors or
     evaluate the criterion.
     """
-    st = replace(state, k_values=dict(state.k_values), fwd_log=dict(state.fwd_log))
+    st = _successor(state, ctx.t)
     if st.crashed:
         return st, []
     i, t = ctx.phase, ctx.t
     out: list[tuple[int, Token]] = []
 
     if t == 1:
-        st.k_values = {}
-        st.best = 0
-        st.best_src = ORIGIN
-        st.last_sent = 0
         if st.active:
             color = int(ctx.own_color) if ctx.own_color is not None else 0
             if color >= 1:
@@ -297,16 +301,10 @@ def byzantine_node_step(state: NodeState, inbox: Iterable[Token], ctx: RoundCont
     own emission also rewrite its state (best/last_sent/log), so the node
     later answers truthfully about its own lie.
     """
-    if policy is None or getattr(policy, "suppress_sends", False) is True:
-        st = replace(state, k_values=dict(state.k_values), fwd_log=dict(state.fwd_log))
-        if policy is not None and policy.suppress_sends:
-            if ctx.t == 1:
-                st.k_values = {}
-                st.best = 0
-                st.best_src = ORIGIN
-                st.last_sent = 0
-            return st, []
-        return honest_node_step(st, inbox, ctx)
+    if policy is None:
+        return honest_node_step(state, inbox, ctx)
+    if policy.suppress_sends:
+        return _successor(state, ctx.t), []
 
     st, out = honest_node_step(state, inbox, ctx)
     injections = policy.injections_for(st.node, ctx)
@@ -344,16 +342,18 @@ class TopologyConflict:
 class LocalView:
     """A node's reconstructed picture of B_H(self, k).
 
-    ``adj`` maps each known member to a {neighbor: multiplicity} table.
-    Edges claimed by only one endpoint (the other never reported) are
-    taken on the claimant's word.
+    ``adj`` maps each known member to a {neighbor: multiplicity} table;
+    the members are the keys of the given ``adj`` and every table is cut
+    down to them.  Edges claimed by only one endpoint (the other never
+    reported) are taken on the claimant's word.
     """
 
     def __init__(self, center: int, k: int,
                  adj: Mapping[int, Mapping[int, int]]) -> None:
         self.center = center
         self.k = k
-        self.adj = {x: dict(nbrs) for x, nbrs in adj.items()}
+        self.adj = {x: {y: m for y, m in nbrs.items() if y in adj}
+                    for x, nbrs in adj.items()}
         self.members = frozenset(self.adj)
 
     def __contains__(self, node: int) -> bool:
@@ -397,21 +397,19 @@ def reconstruct_local_topology(
         other denies is the multiplicity pair 1 vs 0), or a report is
         malformed.  Honest, truthful reports can never produce one.
     """
-    claims: dict[int, dict[int, int]] = {}
-
-    def tally(node: int, lst: Iterable[int]) -> dict[int, int]:
+    def tally(lst: Iterable[int]) -> dict[int, int]:
         out: dict[int, int] = {}
-        for x in lst:
-            out[int(x)] = out.get(int(x), 0) + 1
+        for x in map(int, lst):
+            out[x] = out.get(x, 0) + 1
         return out
 
-    claims[center] = tally(center, own_ports)
+    claims = {center: tally(own_ports)}
     for reporter, lst in reports.items():
         lst = list(lst)
         if expected_degree is not None and len(lst) != expected_degree:
             return TopologyConflict(center=center, a=int(reporter), b=int(reporter),
                                     detail="report length != d")
-        claims[int(reporter)] = tally(int(reporter), lst)
+        claims[int(reporter)] = tally(lst)
 
     # Any one-sided mention of a pair where both hold claim tables is a
     # contradiction (covers both "claims an edge the other denies" and
@@ -422,41 +420,28 @@ def reconstruct_local_topology(
                 return TopologyConflict(center=center, a=x, b=y,
                                         detail="asymmetric adjacency claim")
 
-    reverse: dict[int, dict[int, int]] = {}
-    for y, their in claims.items():
-        for x, m in their.items():
-            reverse.setdefault(x, {})[y] = m
+    # Past the scan, any two holders agree on every edge between them: a
+    # holder's neighbors are its own claim, and a node without a claim is
+    # known only from the holders that name it.
+    def claimed_neighbors(x: int) -> Mapping[int, int]:
+        if x in claims:
+            return claims[x]
+        return {y: their[x] for y, their in claims.items() if x in their}
 
     # BFS over the claimed edge relation out to depth k
-    def claimed_neighbors(x: int) -> dict[int, int]:
-        nbrs = dict(claims.get(x, {}))
-        for y, m in reverse.get(x, {}).items():
-            if y != x and nbrs.get(y, 0) < m:
-                nbrs[y] = m
-        return nbrs
-
-    adj: dict[int, dict[int, int]] = {}
-    depth = {center: 0}
+    adj = {center: claimed_neighbors(center)}
     frontier = [center]
-    adj[center] = claimed_neighbors(center)
-    for depth_next in range(1, k + 1):
+    for _ in range(k):
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w not in depth:
-                    depth[w] = depth_next
-                    nxt.append(w)
+                if w not in adj:
                     adj[w] = claimed_neighbors(w)
+                    nxt.append(w)
         frontier = nxt
-    # restrict tables to ball members and symmetrize
-    members = set(depth)
-    view_adj: dict[int, dict[int, int]] = {x: {} for x in members}
-    for x in members:
-        for y, m in adj[x].items():
-            if y in members:
-                view_adj[x][y] = max(view_adj[x].get(y, 0), m)
-                view_adj[y][x] = max(view_adj[y].get(x, 0), m)
-    return LocalView(center=center, k=k, adj=view_adj)
+    # agreement makes the tables symmetric already; the view cuts them to
+    # the ball
+    return LocalView(center=center, k=k, adj=adj)
 
 
 # ---------------------------------------------------------------------------

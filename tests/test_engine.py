@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzcount import engine
 from byzcount.engine import (
@@ -161,22 +163,46 @@ def test_class_labels_partition(topo512):
 # executor equivalence
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("algorithm", ["basic", "byzantine"])
-@pytest.mark.parametrize("strategy", ["none", "max_injector", "late_injector",
-                                      "topology_liar"])
-def test_fast_and_reference_executors_agree(algorithm, strategy):
-    results = {}
-    for engine in ("fast", "reference"):
-        cfg = ExperimentConfig(n=72, algorithm=algorithm, strategy=strategy,
-                               delta=0.7, seed=1, engine=engine)
-        results[engine] = run_experiment(cfg)
-    fast, ref = results["fast"], results["reference"]
+def _assert_executors_agree(**cfg):
+    fast, ref = (run_experiment(ExperimentConfig(engine=engine, **cfg))
+                 for engine in ("fast", "reference"))
     assert fast.transcript_hash == ref.transcript_hash
     np.testing.assert_array_equal(fast.decided, ref.decided)
     np.testing.assert_array_equal(fast.crashed, ref.crashed)
     assert fast.messages_sent == ref.messages_sent
     assert fast.queries_total == ref.queries_total
     assert fast.tokens_rejected == ref.tokens_rejected
+
+
+@pytest.mark.parametrize("algorithm", ["basic", "byzantine"])
+@pytest.mark.parametrize("strategy", ["none", "max_injector", "late_injector",
+                                      "topology_liar"])
+def test_fast_and_reference_executors_agree(algorithm, strategy):
+    _assert_executors_agree(n=72, algorithm=algorithm, strategy=strategy,
+                            delta=0.7, seed=1)
+
+
+LIAR_MAX = {"parts": [{"name": "topology_liar"}, {"name": "max_injector"}]}
+GRID_STRATEGIES = {"none": {}, "silent": {}, "max_injector": {},
+                   "topology_liar": {}, "composite": LIAR_MAX}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([64, 96, 128]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       algorithm=st.sampled_from(["basic", "byzantine"]),
+       strategy=st.sampled_from(sorted(GRID_STRATEGIES)))
+def test_executors_agree_on_a_grid(n, seed, algorithm, strategy):
+    _assert_executors_agree(n=n, seed=seed, algorithm=algorithm, strategy=strategy,
+                            strategy_params=GRID_STRATEGIES[strategy])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the fast path accepts, unverified, honest-to-honest "
+    "tokens whose chain runs back into a late injection"))
+def test_executors_agree_under_late_injection():
+    _assert_executors_agree(n=128, seed=4, algorithm="byzantine",
+                            strategy="late_injector")
 
 
 def test_executors_agree_on_an_irregular_tree(tree_d8):

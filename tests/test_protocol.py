@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from byzcount.engine import deliver_round, simulate_subphase
 from byzcount.graph import (augment_small_world, census_locally_tree_like,
                             classify_nodes, generate_h_graph)
+from byzcount.adversary import Injection
 from byzcount.protocol import (
     ORIGIN,
     LocalView,
@@ -25,8 +26,8 @@ from byzcount.protocol import (
     Token,
     TopologyConflict,
     alpha_subphases,
+    byzantine_node_step,
     continuation_threshold,
-    draw_color,
     draw_colors,
     honest_node_step,
     phase_params,
@@ -51,12 +52,6 @@ def test_color_distribution():
         p = 2.0 ** (1 - r)
         tol = 4 * math.sqrt(p * (1 - p) / colors.size)
         assert abs((colors >= r).mean() - p) < tol, f"tail at r={r}"
-
-
-def test_draw_color_scalar():
-    rng = stream(1, "colors")
-    c = draw_color(rng)
-    assert isinstance(c, int) and c >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +210,72 @@ def test_no_new_record_means_decision():
     assert st.decided == 3 and st.active is False
 
 
+def _mid_subphase_state():
+    st = NodeState(node=0, ports=(1, 2))
+    st, _ = honest_node_step(st, [], _ctx(1, own_color=2))
+    st, _ = honest_node_step(st, [_tok(4, 1, 1)], _ctx(2))
+    assert st.k_values == {1: 4} and st.fwd_log == {(3, 1, 1): (2, ORIGIN),
+                                                    (3, 1, 2): (4, 1)}
+    return st
+
+
+class _Policy:
+    """A strategy stand-in: optionally silent, else one injection per round."""
+
+    def __init__(self, *, suppress=False, replace=False):
+        self.suppress_sends = suppress
+        self.replace = replace
+
+    def injections_for(self, node, ctx):
+        return [Injection(color=9, pred=1, replace=self.replace)]
+
+
+@pytest.mark.parametrize("step", [
+    lambda st, inbox, ctx: honest_node_step(st, inbox, ctx),
+    lambda st, inbox, ctx: byzantine_node_step(st, inbox, ctx, None),
+    lambda st, inbox, ctx: byzantine_node_step(st, inbox, ctx, _Policy()),
+    lambda st, inbox, ctx: byzantine_node_step(st, inbox, ctx, _Policy(replace=True)),
+    lambda st, inbox, ctx: byzantine_node_step(st, inbox, ctx, _Policy(suppress=True)),
+], ids=["honest", "byz-none", "byz-append", "byz-replace", "byz-silent"])
+@pytest.mark.parametrize("t", [1, 3, 4])
+def test_node_steps_leave_the_input_state_alone(step, t):
+    st = _mid_subphase_state()
+    k_values, fwd_log = st.k_values, st.fwd_log
+    snapshot = (dict(k_values), dict(fwd_log), st.best, st.best_src, st.last_sent)
+    inbox = [_tok(7, t - 1, 2, pred=5)] if t > 1 else []
+    nst, _ = step(st, inbox, _ctx(t, own_color=3, last=True))
+    assert st.k_values is k_values and st.fwd_log is fwd_log
+    assert (st.k_values, st.fwd_log, st.best, st.best_src, st.last_sent) == snapshot
+    assert nst.k_values is not k_values and nst.fwd_log is not fwd_log
+
+
+@pytest.mark.parametrize("policy,expected", [
+    (None, {(3, 2, 1): (6, ORIGIN)}),
+    (_Policy(replace=True), {(3, 2, 1): (9, 1)}),
+    (_Policy(suppress=True), {}),
+], ids=["honest", "byz-replace", "byz-silent"])
+def test_round_one_starts_a_fresh_forwarding_log(policy, expected):
+    st = _mid_subphase_state()
+    for t in (3, 4):
+        st, _ = byzantine_node_step(st, [], _ctx(t), policy)
+    ctx = RoundContext(phase=3, subphase=2, t=1, flood_rounds=3, threshold=2.0,
+                       own_color=6)
+    st, _ = byzantine_node_step(st, [], ctx, policy)
+    assert st.fwd_log == expected
+
+
+def test_byzantine_step_without_a_policy_is_the_honest_step():
+    inboxes = {1: [], 2: [_tok(4, 1, 1), _tok(6, 1, 2)], 3: [_tok(6, 2, 1, pred=2)],
+               4: [_tok(8, 3, 2, pred=1)]}
+    honest = byz = NodeState(node=0, ports=(1, 2))
+    for t in (1, 2, 3, 4):
+        ctx = _ctx(t, own_color=5, last=True, verify=lambda node, tok: tok.color != 8)
+        honest, h_out = honest_node_step(honest, inboxes[t], ctx)
+        byz, b_out = byzantine_node_step(byz, inboxes[t], ctx, None)
+        assert byz == honest and b_out == h_out
+    assert honest.rejected == 1 and honest.decided == 3
+
+
 # ---------------------------------------------------------------------------
 # the six-node path, both executors
 # ---------------------------------------------------------------------------
@@ -324,6 +385,122 @@ def test_reconstruction_keeps_phantom_on_claimants_word():
     view = reconstruct_local_topology(0, (1, 7), reports, 2, expected_degree=2)
     assert isinstance(view, LocalView)
     assert 99 in view.members and view.h_adjacent(1, 99)
+
+
+def _reconstruct_before(center, own_ports, reports, k, expected_degree=None):
+    """The reconstruction rule before its fast rewrite, kept verbatim as the
+    reference; it returns the view's adjacency tables instead of a view."""
+    claims: dict[int, dict[int, int]] = {}
+
+    def tally(node, lst):
+        out: dict[int, int] = {}
+        for x in lst:
+            out[int(x)] = out.get(int(x), 0) + 1
+        return out
+
+    claims[center] = tally(center, own_ports)
+    for reporter, lst in reports.items():
+        lst = list(lst)
+        if expected_degree is not None and len(lst) != expected_degree:
+            return TopologyConflict(center=center, a=int(reporter), b=int(reporter),
+                                    detail="report length != d")
+        claims[int(reporter)] = tally(int(reporter), lst)
+
+    for x, nbrs in claims.items():
+        for y, mult in nbrs.items():
+            if y in claims and claims[y].get(x, 0) != mult:
+                return TopologyConflict(center=center, a=x, b=y,
+                                        detail="asymmetric adjacency claim")
+
+    reverse: dict[int, dict[int, int]] = {}
+    for y, their in claims.items():
+        for x, m in their.items():
+            reverse.setdefault(x, {})[y] = m
+
+    def claimed_neighbors(x):
+        nbrs = dict(claims.get(x, {}))
+        for y, m in reverse.get(x, {}).items():
+            if y != x and nbrs.get(y, 0) < m:
+                nbrs[y] = m
+        return nbrs
+
+    adj: dict[int, dict[int, int]] = {}
+    depth = {center: 0}
+    frontier = [center]
+    adj[center] = claimed_neighbors(center)
+    for depth_next in range(1, k + 1):
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in depth:
+                    depth[w] = depth_next
+                    nxt.append(w)
+                    adj[w] = claimed_neighbors(w)
+        frontier = nxt
+    members = set(depth)
+    view_adj: dict[int, dict[int, int]] = {x: {} for x in members}
+    for x in members:
+        for y, m in adj[x].items():
+            if y in members:
+                view_adj[x][y] = max(view_adj[x].get(y, 0), m)
+                view_adj[y][x] = max(view_adj[y].get(x, 0), m)
+    return view_adj
+
+
+_PERTURBATIONS = ("drop", "phantom", "add", "remove", "self_loop", "center")
+
+
+@st.composite
+def _claim_sets(draw):
+    """Truthful reports on a small random multigraph, then a few lies."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    ports: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in pairs:
+        if u != v:                          # parallel edges stay
+            ports[u].append(v)
+            ports[v].append(u)
+    center = draw(st.integers(0, n - 1))
+    reports = {u: list(ports[u]) for u in range(n) if u != center}
+    for op, x in draw(st.lists(st.tuples(st.sampled_from(_PERTURBATIONS),
+                                         st.integers(0, 50)), max_size=4)):
+        if op == "center":
+            reports[center] = list(ports[center])
+            continue
+        if not reports:
+            break
+        u = sorted(reports)[x % len(reports)]
+        lst = reports[u]
+        if op == "drop":
+            del reports[u]
+        elif op == "phantom":
+            lst.append(n + x)
+        elif op == "add":
+            lst.append(x % n)
+        elif op == "remove" and lst:
+            lst.pop(x % len(lst))
+        elif op == "self_loop":
+            lst.append(u)
+    order = draw(st.permutations(sorted(reports)))
+    reports = {u: reports[u] for u in order}
+    k = draw(st.integers(min_value=0, max_value=3))
+    expected = draw(st.sampled_from([None, len(ports[center])]))
+    return center, tuple(ports[center]), reports, k, expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_claim_sets())
+def test_reconstruction_equals_the_reference_rule(case):
+    center, own, reports, k, expected = case
+    want = _reconstruct_before(center, own, reports, k, expected)
+    got = reconstruct_local_topology(center, own, reports, k, expected_degree=expected)
+    if isinstance(want, TopologyConflict):
+        assert got == want
+    else:
+        assert isinstance(got, LocalView)
+        assert got.members == frozenset(want)
+        assert got.adj == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ instead of breaking traced benchmark runs.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from byzcount import engine
@@ -37,3 +38,23 @@ def test_augment_result_has_the_measured_tables():
     tr = tracer.Tracer()
     tracer._note_l_bytes(tr, topo)
     assert tr.counts["graph.l_bytes"] == topo.l_ptr.nbytes + topo.l_idx.nbytes > 0
+
+
+def test_reference_run_calls_the_traced_layers_through_the_engine(monkeypatch):
+    # the tracer times these layers by swapping engine's module globals, so
+    # the reference executor must keep calling them through those names
+    calls = Counter()
+    for name in ("reconstruct_local_topology", "deliver_round",
+                 "byzantine_node_step", "verify_color_provenance"):
+        def counted(*args, _real=getattr(engine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    cfg = engine.ExperimentConfig(n=64, seed=1, algorithm="byzantine",
+                                  strategy="max_injector", engine="reference")
+    res = engine.run_experiment(cfg)
+    rounds = sum(p["subphases"] * (p["phase"] + 1) for p in res.per_phase)
+    assert calls["reconstruct_local_topology"] == 64
+    assert calls["deliver_round"] == rounds
+    assert calls["byzantine_node_step"] == 64 * rounds
+    assert calls["verify_color_provenance"] > 0
