@@ -28,6 +28,7 @@ __all__ = [
     "TRUTHFUL",
     "Injection",
     "AdversaryStrategy",
+    "default_injection_color",
     "strategy_honest_mimic",
     "strategy_silent",
     "strategy_max_injector",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import NODE_CSV_FIELDS
 from .graph import Topology
 from .rng import stream
 
@@ -94,7 +95,7 @@ def write_baseline_csv(est: SupportEstimate, topo: Topology, path: str,
     ids = topo.h.ids
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["trial", "node_id", "class", "decided", "estimate", "crashed"])
+        w.writerow(NODE_CSV_FIELDS)
         for v in range(est.final_max.shape[0]):
             w.writerow([trial, int(ids[v]),
                         "byz" if est.byz[v] else "byz_safe",

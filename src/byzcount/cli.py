@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
     defaults = ExperimentConfig()
     rows = []
     for idx, cell in enumerate(cells):
-        cell_seed = int(stream(root_seed, "trial", idx).integers(0, 2**31 - 1))
+        cell_seed = int(stream(root_seed, "cell", idx).integers(0, 2**31 - 1))
         data = dict(fixed, **cell, seed=cell_seed, trials=trials)
         row = {"cell": idx}
         row.update({name: data.get(name, getattr(defaults, name))

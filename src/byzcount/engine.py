@@ -9,15 +9,20 @@ constant-length windows after each flooding round and are charged to the
 round count without being simulated as individual messages.
 
 Two interchangeable executors cover every run: a vectorized fast path
-(per round, a gather of the senders' colors through the padded H port
-matrix and a max over each node's ports; only the hardened protocol
-keeps predecessors and forwarding logs and re-runs per-receiver token
-verification at the nodes Byzantine senders or distorted local views
-touch) and a per-node reference loop driven entirely by
-``byzantine_node_step`` (the honest transition for nodes without a
-policy) plus ``deliver_round``.  Both consume identical color streams and
-fold identical per-subphase state into the transcript hash, so equality
-of results is testable.
+and a per-node reference loop.  Each fast-path round is one gather
+through the padded H port matrix and a max over each node's ports.  The
+basic protocol gathers colors.  The hardened protocol gathers an encoded
+key, color·2^bits + (n − sender), so the same max also gives the
+smallest sender of the top color, and keeps predecessors and forwarding
+logs.  Its Byzantine correction is narrow: only nodes that a sending
+Byzantine node, an injected extra or a lie report reaches are looked at,
+the best honest item there comes from the same key with Byzantine
+senders zeroed, and Python verifies only the Byzantine items that
+outrank it (lie receivers verify every item).  The reference loop is
+driven entirely by ``byzantine_node_step`` (the honest transition for
+nodes without a policy) plus ``deliver_round``.  Both consume identical
+color streams and fold identical per-subphase state into the transcript
+hash, so equality of results is testable.
 The reference copies one node state per node step and keeps forwarding
 logs per subphase, so it grows linearly with run length; on a 2-core Xeon
 VM a hardened trial takes ~0.2 s at n=128 and ~5 s at n=1024 (mostly
@@ -74,7 +79,11 @@ __all__ = [
     "simulate_subphase",
     "write_trial_csv",
     "write_summary_json",
+    "NODE_CSV_FIELDS",
 ]
+
+# one row per node per trial, written by the engine and the baseline alike
+NODE_CSV_FIELDS = ("trial", "node_id", "class", "decided", "estimate", "crashed")
 
 
 class ConfigError(ValueError):
@@ -435,19 +444,96 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
+def _check_key_range(colors, n: int) -> None:
+    """Reject colors too large for the verifying key (see ``_fast_subphase``)."""
+    limit = 2**(63 - n.bit_length()) - 1
+    if np.abs(np.asarray(colors)).max(initial=0) >= limit:
+        raise ConfigError(f"colors: need |color| < {limit} at n={n}")
+
+
+def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
+                   recv_src: np.ndarray, send, extras, verify_all: bool,
+                   verify) -> None:
+    """Verification in one round of the hardened fast path, in place.
+
+    ``recv_col``/``recv_src`` hold each node's gathered top color and its
+    smallest sender, decoded from ``key``; ``send`` is the round's
+    (mask, color, pred) and ``extras`` its (sender, target, color, pred)
+    injections.  A node that no sending Byzantine node, extra or lie
+    report touches keeps them and pays the query window min(hop, k) − 1
+    if it receives anything.  At a touched node the key with Byzantine
+    senders zeroed gives the best honest item, and ``verify(v, color,
+    sender, pred)`` runs only on the Byzantine items that outrank it, in
+    the (−color, sender) order with ports before extras on ties; the first
+    that passes wins, else the honest item does at the same query cost.
+    Lie receivers verify every item, as every touched node does when
+    ``verify_all`` is set.
+    """
+    n, ports, byz, cnt = run.n, run.topo.h.ports, run.byz_mask, run.counters
+    bits = n.bit_length()
+    send_mask, send_color, send_pred = send
+    wl = min(hop, run.k) - 1
+    lie = np.zeros(n + 1, dtype=bool)
+    lie[sorted(run.lie_rx_set)] = True
+    sending = np.append(send_mask, False)
+    byz_send = sending & np.append(byz, False)
+    # H is symmetric with multiplicity: b is on v's ports iff v is on b's
+    touched = lie.copy()
+    touched[ports[:, np.flatnonzero(byz_send)]] = True
+    ext = np.array(extras, dtype=np.int64).reshape(-1, 4).T  # s, dv, c, p
+    touched[ext[1]] = True
+    cnt.queries += wl * int((~touched[:n] & (recv_col >= 1)).sum())
+    proc = ~run.crashed & ~run.suppressed
+    hot = np.flatnonzero(touched[:n] & proc)
+    if not hot.size:
+        return
+    pm = ports[:, hot]
+    kp, isb = key[pm], byz_send[pm]
+    full = lie[hot] | verify_all
+    # the best honest item's key; 0 if there is none or every item is verified
+    hk = np.where(isb | full, 0, kp).max(axis=0)
+    q, r = np.nonzero((full & sending[pm] | isb & ((kp > hk) | (hk == 0))).T)
+    srcs = pm[r, q]
+    e = np.flatnonzero(proc[ext[1]])
+    eq = np.searchsorted(hot, ext[1, e])
+    keep = full[eq] | (hk[eq] == 0) | (ext[2, e] * (1 << bits) + n - ext[0, e] > hk[eq])
+    e, eq = e[keep], eq[keep]
+    items = (np.concatenate([q, eq]), np.concatenate([send_color[srcs], ext[2, e]]),
+             np.concatenate([srcs, ext[0, e]]), np.concatenate([send_pred[srcs], ext[3, e]]))
+    order = np.lexsort((items[2], -items[1], items[0]))  # stable: ports first
+    col, src = hk >> bits, n - (hk & ((1 << bits) - 1))
+    done = np.zeros(hot.size, dtype=bool)
+    for x, c, s, p in zip(*(a[order].tolist() for a in items)):
+        if done[x]:
+            continue
+        v = int(hot[x])
+        if byz[s] or lie[v]:
+            if not verify(v, c, s, p):
+                cnt.rejected += 1
+                continue
+        else:
+            cnt.queries += wl
+        col[x], src[x], done[x] = c, s, True
+    cnt.queries += wl * int(((hk > 0) & ~done).sum())
+    recv_col[hot] = col
+    recv_src[hot] = src
+
+
 def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                    colors: np.ndarray, threshold: float) -> np.ndarray:
     """One subphase of phase i on the vectorized path; returns k_rows.
 
-    Each round gathers the senders' colors through the H port matrix and
-    takes the per-node max.  Predecessors, forwarding logs and the
-    correction at nodes a Byzantine sender or a distorted view touches
-    are only kept when the hardened protocol verifies.
+    Each round gathers one value per sender through the H port matrix and
+    takes the per-node max.  The basic protocol gathers colors.  The
+    hardened protocol gathers the key color·2^bits + (n − sender), with
+    2^bits > n, whose max also names the smallest sender of the top color
+    (0 stands for no sender, a color below 1 and the sentinel); it keeps
+    predecessors and forwarding logs, and ``_correct_round`` verifies the
+    Byzantine items at the nodes they reach.
     """
-    n, k = run.n, run.k
+    n = run.n
     cnt = run.counters
-    h = run.topo.h
-    ports = h.ports
+    ports = run.topo.h.ports
     byz, crashed, supp = run.byz_mask, run.crashed, run.suppressed
     verifying = run.cfg.algorithm == "byzantine"
     proc = ~crashed & ~supp
@@ -465,8 +551,13 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     # masked[u]: the color u sends clipped at 0, 0 if it sends nothing;
     # masked[n] stays 0 under the sentinel ports
     masked = np.zeros(n + 1, dtype=np.int64)
-    byz_send = np.zeros(n + 1, dtype=bool)
-    cols = np.arange(n)
+    # verifying: key[u] = masked[u]·2^bits + (n − u) where masked[u] ≥ 1, else 0;
+    # as 2^bits > n, key >> bits is the color and n − (key & (2^bits − 1)) u
+    bits, rank = n.bit_length(), np.arange(n, -1, -1)
+    if verifying:
+        _check_key_range(colors, n)
+    # honest colors below 1 can only come from scripted round-1 colors
+    low = verifying and bool((colors[origin & ~byz] < 1).any())
     log: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     extras_next: list[tuple[int, int, int, int]] = []
 
@@ -475,6 +566,10 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
         if ent is None or not ent[0][target]:
             return None
         return int(ent[1][target]), int(ent[2][target])
+
+    def verify(v: int, c: int, s: int, p: int) -> bool:
+        tok = Token(color=c, phase=i, subphase=j, hop=t - 1, src=s, pred=p)  # round t
+        return run.verify_token(v, tok, i, j, get_log)
 
     def apply_injections(t: int) -> None:
         if run.strategy is None or run.byz_nodes.size == 0:
@@ -486,6 +581,8 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
             if supp[b]:
                 continue
             for inj in run.strategy.injections_for(b, ctx):
+                if verifying:
+                    _check_key_range([inj.color], n)
                 if inj.replace:
                     if inj.targets is not None:
                         raise NotImplementedError(
@@ -519,63 +616,19 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
         extras, extras_next = extras_next, []
         np.multiply(send_color, send_mask, out=masked[:n])
         np.maximum(masked, 0, out=masked)
-        gathered = masked[ports]
-        top = gathered.max(axis=0)
+        gat = np.where(masked > 0, (masked << bits) + rank, 0) if verifying else masked
+        top = gat[ports].max(axis=0)
+        if verifying:
+            recv_src = n - (top & ((1 << bits) - 1))
+            top >>= bits
         for (_, dv, c, _) in extras:
             if c > top[dv]:
                 top[dv] = c
         recv_col = np.where(proc, top, 0)
-
         if verifying:
-            # min-sender tie-break: the first port (ports are sorted) whose
-            # color is the top; a top brought only by an extra finds none
-            first = (gathered == top).argmax(axis=0)
-            recv_src = np.where((top >= 1) & (gathered[first, cols] == top),
-                                ports[first, cols], n)
-            for (s, dv, c, _) in extras:
-                if c == top[dv] and s < recv_src[dv]:
-                    recv_src[dv] = s
-
-            hop = t - 1
-            wl = min(hop, k) - 1
-            byz_send[:n] = byz & send_mask
-            touched = byz_send[ports].any(axis=0)
-            for (_, dv, _, _) in extras:
-                touched[dv] = True
-            for v in run.lie_rx_set:
-                touched[v] = True
-            auto = proc & ~touched & (top >= 1)
-            cnt.queries += wl * int(auto.sum())
-
-            hot = touched & proc
-            if hot.any():
-                inbox_map: dict[int, list[tuple[int, int, int]]] = {}
-                for v in np.flatnonzero(hot):
-                    row = h.neighbors(v)
-                    row = row[send_mask[row]]
-                    inbox_map[int(v)] = [
-                        (int(c), int(s), int(p)) for s, c, p
-                        in zip(row, send_color[row], send_pred[row])]
-                for s, dv, c, p in extras:
-                    if dv in inbox_map:
-                        inbox_map[dv].append((c, s, p))
-                for v, items in inbox_map.items():
-                    items.sort(key=lambda x: (-x[0], x[1]))
-                    acc_c, acc_s = 0, n
-                    for c, s, p in items:
-                        if byz[s] or v in run.lie_rx_set:
-                            tok = Token(color=c, phase=i, subphase=j,
-                                        hop=hop, src=s, pred=p)
-                            if run.verify_token(v, tok, i, j, get_log):
-                                acc_c, acc_s = c, s
-                                break
-                            cnt.rejected += 1
-                        else:
-                            cnt.queries += wl
-                            acc_c, acc_s = c, s
-                            break
-                    recv_col[v] = acc_c
-                    recv_src[v] = acc_s
+            _correct_round(run, t - 1, gat, recv_col, recv_src,
+                           (send_mask, send_color, send_pred), extras,
+                           low and t == 2, verify)
 
         got = proc & (recv_col >= 1)
         np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
@@ -927,10 +980,10 @@ def simulate_subphase(topo: Topology, phase: int, *,
 
 
 def write_trial_csv(results: list[RunResult], path: str) -> None:
-    """One row per node per trial: trial,node_id,class,decided,estimate,crashed."""
+    """One row per node per trial, with the columns of ``NODE_CSV_FIELDS``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["trial", "node_id", "class", "decided", "estimate", "crashed"])
+        w.writerow(NODE_CSV_FIELDS)
         for res in results:
             for v in range(res.n):
                 est = int(res.decided[v])

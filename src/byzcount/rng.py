@@ -20,6 +20,7 @@ _TAGS = {
     "colors": 0xC0,
     "adversary": 0xAD,
     "trial": 0x7A,
+    "cell": 0xCE,
     "spectral": 0x5E,
 }
 

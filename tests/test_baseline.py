@@ -90,3 +90,18 @@ def test_baseline_emitters(tmp_path, topo1024):
     assert summary["global_max"] == est.global_max
     assert summary["byz_count"] == 1
     assert summary["note"] == "fixture"
+
+
+def test_baseline_and_engine_write_the_same_node_csv_header(tmp_path, topo1024):
+    from byzcount.engine import (NODE_CSV_FIELDS, ExperimentConfig, run_trials,
+                                 write_trial_csv)
+    base_path, trial_path = tmp_path / "baseline.csv", tmp_path / "trials.csv"
+    write_baseline_csv(run_support_estimation(topo1024, seed=2), topo1024,
+                       str(base_path))
+    write_trial_csv(run_trials(ExperimentConfig(n=32, algorithm="basic")),
+                    str(trial_path))
+    headers = []
+    for path in (base_path, trial_path):
+        with open(path, newline="") as fh:
+            headers.append(next(csv.reader(fh)))
+    assert headers[0] == headers[1] == list(NODE_CSV_FIELDS)

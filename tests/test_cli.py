@@ -8,6 +8,7 @@ import pytest
 
 from byzcount import cli
 from byzcount.graph import generate_h_graph, load_topology
+from byzcount.rng import stream
 
 
 def _write(path, obj):
@@ -129,6 +130,22 @@ def test_sweep_cross_product_and_determinism(tmp_path, capsys):
     assert {(row["n"], row["delta"]) for row in rows} == \
         {("32", "0.7"), ("32", "1.0"), ("64", "0.7"), ("64", "1.0")}
     assert len({row["cell_seed"] for row in rows}) == 4
+
+
+def test_sweep_cell_seeds_come_from_their_own_channel(tmp_path):
+    spec = _write(tmp_path / "sweep.json", {"n": [32, 48, 64], "trials": 1, "seed": 5})
+    seeds = []
+    for name in ("a", "b"):
+        assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / name)]) == 0
+        text = (tmp_path / f"{name}.csv").read_text()
+        rows = csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#"))
+        seeds.append([int(row["cell_seed"]) for row in rows])
+    assert seeds[0] == seeds[1]                       # stable on a rerun
+    assert seeds[0] == [int(stream(5, "cell", idx).integers(0, 2**31 - 1))
+                        for idx in range(3)]
+    trial_draws = {int(stream(5, "trial", idx).integers(0, 2**31 - 1))
+                   for idx in range(3)}
+    assert trial_draws.isdisjoint(seeds[0])
 
 
 def test_single_cell_sweep_matches_a_direct_run(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzcount import engine
+from byzcount.adversary import AdversaryStrategy, Injection
 from byzcount.engine import (
     ConfigError,
     ExperimentConfig,
@@ -163,15 +164,74 @@ def test_class_labels_partition(topo512):
 # executor equivalence
 # ---------------------------------------------------------------------------
 
+def _first_divergence(fast, ref):
+    """Where two executors' ``_Run.fold`` records first differ, as text.
+
+    Each record is (phase, subphase, k_rows, decided).  Returns None when
+    the records agree, else the first (phase, subphase, row, node) whose
+    k_rows or decided entry differs (rows k_1..k_i, then "decided").
+    """
+    for (pf, sf, kf, df), (pr, sr, kr, dr) in zip(fast, ref):
+        if (pf, sf) != (pr, sr):
+            return f"fold order: fast ({pf}, {sf}), reference ({pr}, {sr})"
+        rows = [(f"k_{r}", kf[r], kr[r]) for r in range(1, len(kf))]
+        for row, a, b in rows + [("decided", df, dr)]:
+            diff = np.flatnonzero(a != b)
+            if diff.size:
+                v = int(diff[0])
+                return (f"phase {pf}, subphase {sf}, row {row}, node {v}: "
+                        f"fast {int(a[v])}, reference {int(b[v])}")
+    if len(fast) != len(ref):
+        return f"fast folded {len(fast)} subphases, reference {len(ref)}"
+    return None
+
+
 def _assert_executors_agree(**cfg):
-    fast, ref = (run_experiment(ExperimentConfig(engine=engine, **cfg))
-                 for engine in ("fast", "reference"))
-    assert fast.transcript_hash == ref.transcript_hash
+    records, results = {}, {}
+    real_fold = engine._Run.fold
+    for name in ("fast", "reference"):
+        def fold(run, phase, subphase, k_rows, _rec=records.setdefault(name, [])):
+            _rec.append((phase, subphase, k_rows.copy(), run.decided.copy()))
+            real_fold(run, phase, subphase, k_rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._Run, "fold", fold)
+            results[name] = run_experiment(ExperimentConfig(engine=name, **cfg))
+    fast, ref = results["fast"], results["reference"]
+    where = _first_divergence(records["fast"], records["reference"])
+    assert fast.transcript_hash == ref.transcript_hash, where
+    assert where is None, where
     np.testing.assert_array_equal(fast.decided, ref.decided)
     np.testing.assert_array_equal(fast.crashed, ref.crashed)
     assert fast.messages_sent == ref.messages_sent
     assert fast.queries_total == ref.queries_total
     assert fast.tokens_rejected == ref.tokens_rejected
+    return records
+
+
+def test_first_divergence_names_phase_subphase_row_and_node():
+    k = np.zeros((3, 4), dtype=np.int64)
+    dec = np.zeros(4, dtype=np.int64)
+    rec = [(1, 1, k[:2], dec), (2, 1, k, dec), (2, 2, k, dec)]
+    assert _first_divergence(rec, rec) is None
+    k_off = k.copy()
+    k_off[2, 3] = 7
+    dec_off = dec.copy()
+    dec_off[1] = 2
+    other = [rec[0], (2, 1, k, dec_off), (2, 2, k_off, dec)]
+    assert _first_divergence(rec, other) == (
+        "phase 2, subphase 1, row decided, node 1: fast 0, reference 2")
+    assert _first_divergence(rec[:2] + [(2, 2, k_off, dec)], rec) == (
+        "phase 2, subphase 2, row k_2, node 3: fast 7, reference 0")
+    assert _first_divergence(rec, rec[:2]) == "fast folded 3 subphases, reference 2"
+    assert _first_divergence(rec, [rec[0], (2, 2, k, dec)]).startswith("fold order")
+
+
+def test_first_divergence_is_silent_on_an_agreeing_config():
+    records = _assert_executors_agree(n=72, algorithm="byzantine",
+                                      strategy="max_injector", delta=0.7, seed=1)
+    assert len(records["fast"]) == len(records["reference"]) > 0
+    assert _first_divergence(records["fast"], records["reference"]) is None
 
 
 @pytest.mark.parametrize("algorithm", ["basic", "byzantine"])
@@ -257,6 +317,192 @@ def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):
                       colors=[1, 5, 1, 1, 1, 5], byz=np.array([0]),
                       strategy="honest_mimic", relax_degree=True)
     assert {(t.color, t.pred) for t in seen if t.hop == 2} == {(5, 1)}
+
+
+# ---------------------------------------------------------------------------
+# the narrow Byzantine correction against the sorted-inbox rule
+# ---------------------------------------------------------------------------
+
+def _sorted_inbox_round(run, hop, send, extras, verify):
+    """The verifying round of the fast path before the narrow correction,
+    kept verbatim as the reference: a colour gather with a first-port
+    tie-break, touched nodes from a gather over all n, and one sorted
+    inbox per hot node.  Returns (recv_col, recv_src)."""
+    n, k = run.n, run.k
+    cnt = run.counters
+    h = run.topo.h
+    ports = h.ports
+    byz, crashed, supp = run.byz_mask, run.crashed, run.suppressed
+    proc = ~crashed & ~supp
+    send_mask, send_color, send_pred = send
+    masked = np.zeros(n + 1, dtype=np.int64)
+    byz_send = np.zeros(n + 1, dtype=bool)
+    cols = np.arange(n)
+
+    np.multiply(send_color, send_mask, out=masked[:n])
+    np.maximum(masked, 0, out=masked)
+    gathered = masked[ports]
+    top = gathered.max(axis=0)
+    for (_, dv, c, _) in extras:
+        if c > top[dv]:
+            top[dv] = c
+    recv_col = np.where(proc, top, 0)
+
+    # min-sender tie-break: the first port (ports are sorted) whose
+    # color is the top; a top brought only by an extra finds none
+    first = (gathered == top).argmax(axis=0)
+    recv_src = np.where((top >= 1) & (gathered[first, cols] == top),
+                        ports[first, cols], n)
+    for (s, dv, c, _) in extras:
+        if c == top[dv] and s < recv_src[dv]:
+            recv_src[dv] = s
+
+    wl = min(hop, k) - 1
+    byz_send[:n] = byz & send_mask
+    touched = byz_send[ports].any(axis=0)
+    for (_, dv, _, _) in extras:
+        touched[dv] = True
+    for v in run.lie_rx_set:
+        touched[v] = True
+    auto = proc & ~touched & (top >= 1)
+    cnt.queries += wl * int(auto.sum())
+
+    hot = touched & proc
+    if hot.any():
+        inbox_map: dict[int, list[tuple[int, int, int]]] = {}
+        for v in np.flatnonzero(hot):
+            row = h.neighbors(v)
+            row = row[send_mask[row]]
+            inbox_map[int(v)] = [
+                (int(c), int(s), int(p)) for s, c, p
+                in zip(row, send_color[row], send_pred[row])]
+        for s, dv, c, p in extras:
+            if dv in inbox_map:
+                inbox_map[dv].append((c, s, p))
+        for v, items in inbox_map.items():
+            items.sort(key=lambda x: (-x[0], x[1]))
+            acc_c, acc_s = 0, n
+            for c, s, p in items:
+                if byz[s] or v in run.lie_rx_set:
+                    if verify(v, c, s, p):
+                        acc_c, acc_s = c, s
+                        break
+                    cnt.rejected += 1
+                else:
+                    cnt.queries += wl
+                    acc_c, acc_s = c, s
+                    break
+            recv_col[v] = acc_c
+            recv_src[v] = acc_s
+    return recv_col, recv_src
+
+
+class _Scripted(AdversaryStrategy):
+    """Injections read from a {(round, node): [Injection, ...]} script."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+
+    def injections_for(self, node, ctx):
+        return self.script.get((ctx.t, node), [])
+
+
+@st.composite
+def _correction_cases(draw):
+    n = draw(st.integers(4, 11))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          min_size=n, max_size=3 * n))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))  # parallel edges
+    h = HMultigraph.from_edges(n, 2, [(u, v, 1) for u, v in pairs])
+    roles = draw(st.lists(st.sampled_from("hhhbbcl"), min_size=n, max_size=n))
+    phase = draw(st.integers(1, 4))
+    color = st.integers(-2, 5)
+    script = {}
+    for t in range(1, phase + 2):
+        for b in (v for v in range(n) if roles[v] == "b"):
+            injs = []
+            if draw(st.booleans()):
+                injs.append(Injection(color=draw(color), pred=draw(st.integers(-1, n - 1)),
+                                      replace=True))
+            for _ in range(draw(st.integers(0, 2))):
+                # a tie with the replace broadcast on (color, sender), or not
+                tie = injs and injs[0].replace and draw(st.booleans())
+                injs.append(Injection(
+                    color=injs[0].color if tie else draw(color),
+                    pred=draw(st.integers(-1, n - 1)),
+                    targets=draw(st.none() | st.tuples(node, node))))
+            script[(t, b)] = injs
+    return dict(
+        h=h, k=draw(st.integers(1, 3)), roles=roles, phase=phase, script=script,
+        colors=draw(st.lists(st.integers(1, 5) | st.integers(-1, 5),
+                             min_size=n, max_size=n)),
+        salt=draw(st.integers(0, 2**16)))
+
+
+def _compare_with_sorted_inbox(real, salt):
+    """A stand-in for ``engine._correct_round`` that runs it and the
+    reference on the same round and asserts the same outcome: recv_col,
+    recv_src where a node processes, the query and rejection deltas and
+    the sequence of verify calls."""
+    def checked(run, hop, key, recv_col, recv_src, send, extras, verify_all, verify):
+        calls = {"new": [], "ref": []}
+
+        def recording(side):
+            def fake(v, c, s, p):
+                calls[side].append((v, c, s, p))
+                return hash((salt, v, c, s, p)) % 2 == 0
+            return fake
+
+        cnt = run.counters
+        before = cnt.queries, cnt.rejected
+        ref_col, ref_src = _sorted_inbox_round(run, hop, send, extras, recording("ref"))
+        ref_delta = cnt.queries - before[0], cnt.rejected - before[1]
+        cnt.queries, cnt.rejected = before
+        real(run, hop, key, recv_col, recv_src, send, extras, verify_all, recording("new"))
+        assert calls["new"] == calls["ref"]
+        assert (cnt.queries - before[0], cnt.rejected - before[1]) == ref_delta
+        np.testing.assert_array_equal(recv_col, ref_col)
+        proc = ~run.crashed & ~run.suppressed
+        np.testing.assert_array_equal(recv_src[proc], ref_src[proc])
+    return checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_correction_cases())
+def test_narrow_correction_equals_the_sorted_inbox_rule(case):
+    # random small multigraphs (parallel edges, isolated nodes), Byzantine
+    # nodes that relay, replace (colors <= 0 too) and inject extras that
+    # may tie their broadcast; crashed nodes, lie receivers, scripted
+    # honest colors below 1, and a verifier that fails about half the calls
+    h, roles = case["h"], case["roles"]
+    n = h.n
+    cfg = ExperimentConfig(n=n, d=2, relax_degree=True, delta=1.0,
+                           algorithm="byzantine")
+    byz = np.array([v for v in range(n) if roles[v] == "b"], dtype=np.int64)
+    run = engine._Run(cfg, 0, topo=augment_small_world(h, k=case["k"]), byz=byz)
+    run.strategy = _Scripted(case["script"])
+    run.crashed[[v for v in range(n) if roles[v] == "c"]] = True
+    run.lie_rx_set = {v for v in range(n) if roles[v] == "l"}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_correct_round", _compare_with_sorted_inbox(
+            engine._correct_round, case["salt"]))
+        engine._fast_subphase(run, case["phase"], 1, False,
+                              np.array(case["colors"], dtype=np.int64), 0.0)
+
+
+def test_colors_too_large_for_the_verifying_key_are_a_config_error():
+    huge = {"magnitude": 2**60}
+    with pytest.raises(ConfigError, match="color"):
+        run_experiment(ExperimentConfig(n=64, algorithm="byzantine", seed=1,
+                                        strategy="max_injector", strategy_params=huge))
+    run_experiment(ExperimentConfig(n=64, algorithm="basic", seed=1,
+                                    strategy="max_injector", strategy_params=huge))
+    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
+    with pytest.raises(ConfigError, match="color"):
+        simulate_subphase(augment_small_world(h, k=1), 2, colors=[1, 2**60, 1, 1, 1, 1],
+                          relax_degree=True)
 
 
 # ---------------------------------------------------------------------------
