@@ -244,14 +244,6 @@ def deliver_round(outboxes, topo: Topology, counters: _Counters) -> dict[int, li
     return inboxes
 
 
-def _is_g_edge(topo: Topology, u: int, v: int) -> bool:
-    if not (0 <= u < topo.h.n and 0 <= v < topo.h.n):
-        return False
-    row = topo.l_neighbors(u)
-    pos = np.searchsorted(row, v)
-    return pos < row.size and row[pos] == v
-
-
 class _TrueView:
     """Adjacency oracle over the real graph, standing in for a faithful
     reconstruction.
@@ -269,12 +261,7 @@ class _TrueView:
         self.k = topo.k
 
     def h_adjacent(self, a: int, b: int) -> bool:
-        h = self._h
-        if not (0 <= a < h.n and 0 <= b < h.n):
-            return False
-        row = h.simple_idx[h.simple_ptr[a]:h.simple_ptr[a + 1]]
-        pos = np.searchsorted(row, b)
-        return pos < row.size and row[pos] == b
+        return self._h.h_adjacent(a, b)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -599,7 +586,7 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                                else run.truthful_report(b))
                     for dst in targets:
                         cnt.sent += 1
-                        if _is_g_edge(run.topo, b, int(dst)):
+                        if run.topo.g_adjacent(b, int(dst)):
                             cnt.delivered += 1
                             extras_next.append((b, int(dst), int(inj.color), int(inj.pred)))
                         else:

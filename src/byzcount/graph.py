@@ -5,16 +5,19 @@ the union of d/2 uniformly random Hamiltonian cycles.  A small-world layer L
 connects every pair of nodes at H-distance at most k = ceil(d/3); the full
 graph G = H + L is what Byzantine-tolerant runs communicate over.
 
-L is implicit: it is served from H by one vectorized ball kernel over the
-port matrix.  The kernel gathers every walk of length <= r from a block of
-centers, sorts each center's row of walk ends and keeps the distinct nodes.
-Building a topology only counts G-degrees; a node's G-row is built when it
-is first asked for, and the whole table only for callers that read it.
+Every setup question runs on numpy alone, over the padded (max degree, n)
+port matrix of H: the ball kernel, the radius-1 tree-likeness census,
+reachability and the spectral estimate's A·x are all gathers through it.
+L is implicit: the ball kernel gathers every walk of length <= r from a
+block of centers, sorts each center's row of walk ends and keeps the
+distinct nodes.  Building a topology only counts G-degrees; a node's G-row
+is built when it is first asked for, and the whole table only for callers
+that read it.
 
 This module owns everything structural: generation, the L augmentation,
-ball/boundary queries, the locally-tree-like census, node classification
-relative to a Byzantine placement, Byzantine chain search, a spectral
-expansion estimate, and a plain-text serialization format.
+ball queries, the locally-tree-like census, node classification relative
+to a Byzantine placement, Byzantine chain search, a spectral expansion
+estimate, and a plain-text serialization format.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import stream
 
@@ -40,10 +42,7 @@ __all__ = [
     "default_tree_radius",
     "default_a_radius",
     "augment_small_world",
-    "ball",
     "balls",
-    "boundary",
-    "g_ball",
     "reach_within",
     "full_tree_ball_size",
     "is_locally_tree_like",
@@ -93,37 +92,33 @@ class HMultigraph:
     # CSR-style adjacency, built once in __post_init__.
     arc_ptr: np.ndarray = field(init=False, repr=False)
     arc_dst: np.ndarray = field(init=False, repr=False)
-    arc_label: np.ndarray = field(init=False, repr=False)
     simple_ptr: np.ndarray = field(init=False, repr=False)
     simple_idx: np.ndarray = field(init=False, repr=False)
     ports: np.ndarray = field(init=False, repr=False)
+    _nbr_sets: dict[int, frozenset] = field(default_factory=dict, init=False,
+                                            repr=False)
 
     def __post_init__(self) -> None:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        lab = np.concatenate([self.edges[:, 2], self.edges[:, 2]])
-        order = np.lexsort((dst, src))
-        src, dst, lab = src[order], dst[order], lab[order]
-        self.arc_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self.arc_ptr, src + 1, 1)
-        np.cumsum(self.arc_ptr, out=self.arc_ptr)
+        n = self.n
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        # one sort of the arc keys src·n + dst orders the arcs by (src, dst)
+        key = np.concatenate([u * n + v, v * n + u])
+        key.sort()
+        src, dst = np.divmod(key, n)
+        self.arc_ptr = _prefix_sum(np.bincount(src, minlength=n))
         self.arc_dst = dst
-        self.arc_label = lab
         # ports[r, v] = r-th entry of neighbors(v); max(axis=0) over a gather
         # through it is the per-node max over in-arcs (H is symmetric)
         degs = np.diff(self.arc_ptr)
         width = max(int(degs.max(initial=0)), 1)
-        self.ports = np.full((width, self.n), self.n, dtype=np.intp)
+        self.ports = np.full((width, n), n, dtype=np.intp)
         self.ports[np.arange(src.size) - self.arc_ptr[src], src] = dst
-        # deduplicated neighbor lists for distance queries
-        keep = np.ones(len(src), dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        s_src, s_dst = src[keep], dst[keep]
-        self.simple_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self.simple_ptr, s_src + 1, 1)
-        np.cumsum(self.simple_ptr, out=self.simple_ptr)
-        self.simple_idx = s_dst
+        # deduplicated neighbor lists: the first arc of each key
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        self.simple_ptr = _prefix_sum(np.bincount(src[first], minlength=n))
+        self.simple_idx = dst[first]
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges, seed: int = 0, check: bool = False) -> "HMultigraph":
@@ -150,32 +145,35 @@ class HMultigraph:
     def degree(self, v: int) -> int:
         return int(self.arc_ptr[v + 1] - self.arc_ptr[v])
 
+    def h_adjacent(self, a: int, b: int) -> bool:
+        """True iff an edge joins a and b; a's neighbor set is built on first use."""
+        nbrs = self._nbr_sets.get(a)
+        if nbrs is None:
+            if not 0 <= a < self.n:
+                return False
+            nbrs = self._nbr_sets[a] = frozenset(self.simple_neighbors(a).tolist())
+        return b in nbrs
+
     @cached_property
     def walk_table(self) -> np.ndarray:
-        """Shape (n+1, max degree+1) one-step table for the ball kernel.
+        """Shape (n, max degree) one-step table for the ball kernel.
 
-        Row v is v itself followed by column v of ``ports``; row n, the
-        sentinel, maps to itself.  Gathering a walk end through it yields
-        the end again (a stay) and every one-hop extension.
+        Row v is column v of ``ports`` with every padding port pointing
+        back at v, so a walk through one stays at a node it has already
+        reached and no walk leaves the node set.
         """
-        width, n = self.ports.shape
-        dtype = np.int32 if n < 2**31 - 1 else np.int64
-        table = np.empty((n + 1, width + 1), dtype=dtype)
-        table[:, 0] = np.arange(n + 1)
-        table[:n, 1:] = self.ports.T
-        table[n, 1:] = n
+        n = self.n
+        table = np.ascontiguousarray(self.ports.T, dtype=np.int32 if n < 2**31 else np.int64)
+        pad = table == n
+        table[pad] = np.nonzero(pad)[0]
         return table
 
-    def adjacency(self, weighted: bool = True) -> sp.csr_matrix:
-        """Sparse adjacency matrix; weights are edge multiplicities."""
-        m = self.edges.shape[0]
-        data = np.ones(2 * m, dtype=np.float64)
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        a = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-        if not weighted:
-            a.data[:] = 1.0
-        return a
+
+def _prefix_sum(counts: np.ndarray) -> np.ndarray:
+    """(len + 1) int64 CSR pointers from per-row counts."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
 
 
 @dataclass
@@ -196,6 +194,8 @@ class Topology:
     l_ptr: np.ndarray = field(repr=False)
     _rows: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                          repr=False)
+    _row_sets: dict[int, frozenset] = field(default_factory=dict, init=False,
+                                            repr=False)
 
     @property
     def n(self) -> int:
@@ -218,6 +218,15 @@ class Topology:
             row = balls(self.h, [v], self.k)[0]
             row = self._rows[v] = row[row != v]
         return row
+
+    def g_adjacent(self, u: int, v: int) -> bool:
+        """True iff v is in u's G-row; u's row set is built on first use."""
+        row = self._row_sets.get(u)
+        if row is None:
+            if not 0 <= u < self.n:
+                return False
+            row = self._row_sets[u] = frozenset(self.l_neighbors(u).tolist())
+        return v in row
 
     def g_degree(self, v: int) -> int:
         return int(self.l_ptr[v + 1] - self.l_ptr[v])
@@ -371,68 +380,51 @@ def augment_small_world(h: HMultigraph, k: int | None = None) -> Topology:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_levels(h: HMultigraph, v: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes within H-distance r of v and their distances (BFS on simple adjacency)."""
-    dist = {v: 0}
-    frontier = [v]
-    for depth in range(1, r + 1):
-        nxt = []
-        for u in frontier:
-            for w in h.simple_neighbors(u):
-                w = int(w)
-                if w not in dist:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    nodes = np.fromiter(dist.keys(), dtype=np.int64, count=len(dist))
-    depths = np.fromiter(dist.values(), dtype=np.int64, count=len(dist))
-    order = np.argsort(nodes)
-    return nodes[order], depths[order]
-
-
-def ball(h: HMultigraph, v: int, r: int) -> np.ndarray:
-    """Sorted nodes at H-distance <= r from v, v included (B(v, r))."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    nodes, _ = _bfs_levels(h, v, r)
-    return nodes
-
-
-# walk ends the ball kernel holds at once: blocks of centers share this budget
-_BLOCK_ELEMENTS = 1 << 21
+# walk ends a ball-kernel block holds, or second-hop ports a census block
+# gathers; 2^19 kept the G-degree pass fastest and its peak RSS low at 2^14-2^16
+_BLOCK_ELEMENTS = 1 << 19
 
 
 def _ball_blocks(h: HMultigraph, centers: np.ndarray, r: int):
     """Walk the ball kernel over ``centers`` in fixed-size blocks.
 
     Yields ``(c, ends, keep)`` per block.  Row i of ``ends`` holds, sorted,
-    the end of every walk of length <= r from ``c[i]`` through
-    ``h.walk_table`` (a walk through a padding port ends at the sentinel n).
-    ``keep`` marks the first copy of each node, so row i of ``ends[keep]``
-    is B(c[i], r).  A row is (max degree + 1)^r wide, so the kernel suits
-    radii up to k.
+    the end of every walk of length exactly 0, 1, ..., r from ``c[i]``
+    through ``h.walk_table``.  ``keep`` marks the first copy of each node,
+    so row i of ``ends[keep]`` is B(c[i], r).  A row is sum_j W^j wide for
+    W = max degree (585 at W=8, r=3), so the kernel suits radii up to k.
     """
     table = h.walk_table
     centers = np.asarray(centers, dtype=table.dtype)
-    step = max(1, _BLOCK_ELEMENTS // table.shape[1] ** r)
+    step = max(1, _BLOCK_ELEMENTS // sum(table.shape[1] ** j for j in range(r + 1)))
     for lo in range(0, centers.size, step):
         c = centers[lo:lo + step]
-        ends = c[:, None]
-        for _ in range(r):
-            ends = table[ends].reshape(c.size, -1)
+        ends = _walk_ends(table, c, r)
         ends.sort(axis=1)
-        keep = ends != h.n
-        keep[:, 1:] &= ends[:, 1:] != ends[:, :-1]
+        keep = np.empty(ends.shape, dtype=bool)
+        keep[:, 0] = True
+        np.not_equal(ends[:, 1:], ends[:, :-1], out=keep[:, 1:])
         yield c, ends, keep
 
 
-def balls(h: HMultigraph, centers, r: int) -> list[np.ndarray]:
-    """B(c, r) for each center c, sorted, c included, by the ball kernel.
+def _walk_ends(table: np.ndarray, c: np.ndarray, r: int) -> np.ndarray:
+    """Row i: the ends of all walks of length 0..r from c[i], level by level.
 
-    Equal to ``ball(h, c, r)``; meant for radii up to k, where the kernel's
-    (max degree + 1)^r walks per center stay small.
+    The levels are freed on return, so a block holds one copy of its ends.
+    """
+    level = c[:, None]
+    levels = [level]
+    for _ in range(r):
+        level = np.take(table, level, axis=0).reshape(c.size, -1)  # take: ~7x a fancy index here
+        levels.append(level)
+    return np.concatenate(levels, axis=1)
+
+
+def balls(h: HMultigraph, centers, r: int) -> list[np.ndarray]:
+    """B(c, r) for each center c: the nodes at H-distance <= r, sorted, c included.
+
+    Meant for radii up to k, where the kernel's sum_j W^j walks per center
+    stay small.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -442,50 +434,20 @@ def balls(h: HMultigraph, centers, r: int) -> list[np.ndarray]:
     return out
 
 
-def boundary(h: HMultigraph, v: int, r: int) -> np.ndarray:
-    """Sorted nodes at H-distance exactly r from v (Bd(v, r))."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    nodes, depths = _bfs_levels(h, v, r)
-    return nodes[depths == r]
-
-
-def g_ball(topo: Topology, v: int, tau: int) -> np.ndarray:
-    """Nodes at G-distance <= tau from v.
-
-    G-distance reduces to H-distance: dist_G(u, v) <= tau iff
-    dist_H(u, v) <= k * tau, since every G-hop spans at most k H-hops and
-    any H-path splits into segments of length <= k.
-    """
-    return ball(topo.h, v, topo.k * tau)
-
-
 def reach_within(h: HMultigraph, sources: np.ndarray, depth: int) -> np.ndarray:
     """Boolean mask of nodes within H-distance ``depth`` of any source."""
-    mask = np.zeros(h.n, dtype=bool)
-    sources = np.asarray(sources, dtype=np.int64)
-    mask[sources] = True
-    frontier = sources
+    # slot n stands for the padding sentinel: marked seen, it never joins a frontier
+    seen = np.zeros(h.n + 1, dtype=bool)
+    seen[h.n] = True
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    seen[frontier] = True
     for _ in range(depth):
+        ends = h.ports[:, frontier].ravel()
+        frontier = np.unique(ends[~seen[ends]])
         if frontier.size == 0:
             break
-        # gather all simple neighbors of the frontier
-        counts = h.simple_ptr[frontier + 1] - h.simple_ptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        out = np.empty(total, dtype=np.int64)
-        pos = 0
-        for u in frontier:
-            row = h.simple_idx[h.simple_ptr[u]:h.simple_ptr[u + 1]]
-            out[pos:pos + len(row)] = row
-            pos += len(row)
-        fresh = out[~mask[out]]
-        if fresh.size == 0:
-            break
-        mask[fresh] = True
-        frontier = np.unique(fresh)
-    return mask
+        seen[frontier] = True
+    return seen[:h.n]
 
 
 # ---------------------------------------------------------------------------
@@ -502,41 +464,44 @@ def is_locally_tree_like(h: HMultigraph, w: int, r: int) -> bool:
     """True iff B(w, r) induces a full (d-1)-ary tree of depth r.
 
     Checked as: the ball has the full tree size for degree h.d, and the
-    induced subgraph (edge multiplicities counted) has exactly |B|-1 edges.
+    induced subgraph (edge multiplicities and self-loops counted) has
+    exactly |B|-1 edges.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
-    nodes, _ = _bfs_levels(h, w, r)
-    if len(nodes) != full_tree_ball_size(h.d, r):
+    size = full_tree_ball_size(h.d, r)
+    if size > h.n:  # no ball is that large; also caps the kernel's width
         return False
-    members = set(int(x) for x in nodes)
-    induced = 0
-    for u in members:
-        for x in h.neighbors(u):
-            if int(x) in members:
-                induced += 1
-    if induced % 2 != 0:  # self-loop; certainly not a tree
+    nodes = balls(h, [w], r)[0]
+    if nodes.size != size:
         return False
-    return induced // 2 == len(nodes) - 1
+    members = set(nodes.tolist())
+    # every induced edge is seen once from each end (a self-loop twice from its node)
+    induced = sum(x in members for u in members for x in h.neighbors(u).tolist())
+    return induced == 2 * (size - 1)
 
 
 def census_locally_tree_like(h: HMultigraph, r: int) -> np.ndarray:
-    """Per-node tree-likeness mask at radius r.
+    """Per-node tree-likeness mask at radius r, equal to ``is_locally_tree_like``.
 
-    The r=1 case runs vectorized (distinct-degree check plus a sparse
-    triangle count); larger radii fall back to the per-node check.
+    The r=1 case runs on the port matrix: w is tree-like iff it has degree
+    d, its ports are distinct and not w itself, and no port of a neighbor
+    leads to a neighbor (an edge between two neighbors, or a self-loop at
+    one).  Larger radii fall back to the per-node check.
     """
-    if r == 1:
-        simple_deg = np.diff(h.simple_ptr)
-        a = sp.csr_matrix(
-            (np.ones(len(h.simple_idx), dtype=np.float64),
-             h.simple_idx, h.simple_ptr.astype(np.int64)),
-            shape=(h.n, h.n),
-        )
-        paths2 = a @ a
-        tri = np.asarray(a.multiply(paths2).sum(axis=1)).ravel()
-        return (simple_deg == h.d) & (tri == 0)
-    return np.array([is_locally_tree_like(h, v, r) for v in range(h.n)], dtype=bool)
+    if r != 1:
+        return np.array([is_locally_tree_like(h, v, r) for v in range(h.n)], dtype=bool)
+    d, ports = h.d, h.ports
+    nbrs = ports[:d]  # at a node of degree d: its neighbors, sorted
+    ltl = np.diff(h.arc_ptr) == d
+    ltl &= np.all(nbrs[1:] != nbrs[:-1], axis=0) & np.all(nbrs != np.arange(h.n), axis=0)
+    step = max(1, _BLOCK_ELEMENTS // max(1, ports.shape[0] * d))
+    for lo in range(0, h.n, step):
+        first = nbrs[:, lo:lo + step]                                 # (d, B)
+        # clip: a sentinel in ``first`` marks a node of degree < d, already False
+        second = np.take(ports, first, axis=1, mode="clip").reshape(-1, 1, first.shape[1])
+        ltl[lo:lo + step] &= ~(second == first).any(axis=(0, 1))
+    return ltl
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +647,13 @@ def estimate_spectral_gap(
         bound h_lower = (d - lambda2)/2 on the edge expansion.
     """
     n, d = h.n, h.d
-    a = h.adjacency(weighted=True)
     rng = stream(seed, "spectral")
     x = rng.standard_normal(n)
     x -= x.mean()
     x /= np.linalg.norm(x)
     prev = np.inf
     for it in range(1, iterations + 1):
-        z = a @ x
+        z = np.append(x, 0.0)[h.ports].sum(axis=0)  # A·x; the sentinel adds 0
         ray = float(x @ z)
         if abs(ray - prev) <= tol:
             lam = abs(ray)

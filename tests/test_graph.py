@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzcount import graph
-from byzcount.engine import _is_g_edge
 from byzcount.graph import (
     HMultigraph,
     PowerIterationError,
     augment_small_world,
-    ball,
     balls,
-    boundary,
     census_locally_tree_like,
     classify_nodes,
     count_parallel_pairs,
@@ -25,7 +22,6 @@ from byzcount.graph import (
     default_tree_radius,
     estimate_spectral_gap,
     full_tree_ball_size,
-    g_ball,
     generate_h_graph,
     is_locally_tree_like,
     load_topology,
@@ -35,6 +31,87 @@ from byzcount.graph import (
     save_topology,
 )
 from helpers import assert_hamiltonian_decomposition, bfs_ball, edge_adjacency
+
+
+# ---------------------------------------------------------------------------
+# references: the rules the port-matrix kernels replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _bfs_levels(h, v, r):
+    """Nodes within H-distance r of v and their distances (BFS on simple adjacency)."""
+    dist = {v: 0}
+    frontier = [v]
+    for depth in range(1, r + 1):
+        nxt = []
+        for u in frontier:
+            for w in h.simple_neighbors(u):
+                w = int(w)
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+        if not frontier:
+            break
+    nodes = np.fromiter(dist.keys(), dtype=np.int64, count=len(dist))
+    depths = np.fromiter(dist.values(), dtype=np.int64, count=len(dist))
+    order = np.argsort(nodes)
+    return nodes[order], depths[order]
+
+
+def _ball(h, v, r):
+    """Sorted nodes at H-distance <= r from v, v included (B(v, r))."""
+    return _bfs_levels(h, v, r)[0]
+
+
+def _boundary(h, v, r):
+    """Sorted nodes at H-distance exactly r from v (Bd(v, r))."""
+    nodes, depths = _bfs_levels(h, v, r)
+    return nodes[depths == r]
+
+
+def _tree_like(h, w, r):
+    """Tree-likeness by its definition, on the BFS ball."""
+    nodes = _ball(h, w, r)
+    if len(nodes) != full_tree_ball_size(h.d, r):
+        return False
+    members = set(int(x) for x in nodes)
+    induced = sum(int(x) in members for u in members for x in h.neighbors(u))
+    return induced == 2 * (len(nodes) - 1)
+
+
+def _lexsort_build(n, edges):
+    """The H build before the one-sort rule: lexsort plus np.add.at."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    arc_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(arc_ptr, src + 1, 1)
+    np.cumsum(arc_ptr, out=arc_ptr)
+    degs = np.diff(arc_ptr)
+    width = max(int(degs.max(initial=0)), 1)
+    ports = np.full((width, n), n, dtype=np.intp)
+    ports[np.arange(src.size) - arc_ptr[src], src] = dst
+    keep = np.ones(len(src), dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    s_src, s_dst = src[keep], dst[keep]
+    simple_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(simple_ptr, s_src + 1, 1)
+    np.cumsum(simple_ptr, out=simple_ptr)
+    return {"arc_ptr": arc_ptr, "arc_dst": dst, "ports": ports,
+            "simple_ptr": simple_ptr, "simple_idx": s_dst}
+
+
+@st.composite
+def multigraphs(draw):
+    """Small irregular multigraphs: parallel edges, self-loops, isolated
+    nodes, and degrees on both sides of d."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 5))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.just(1)), max_size=3 * n))
+    return HMultigraph.from_edges(n, d, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +195,24 @@ def test_ports_keep_parallel_edges():
     assert h.ports.T.tolist() == [[1, 1, 3], [0, 0, 2], [1, 3, 4], [0, 2, 4]]
 
 
+def _assert_build_matches_lexsort(h):
+    for name, want in _lexsort_build(h.n, h.edges).items():
+        got = getattr(h, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=multigraphs())
+def test_one_sort_build_equals_the_lexsort_rule(h):
+    _assert_build_matches_lexsort(h)
+
+
+@pytest.mark.parametrize("n", [3, 257, 5000])
+def test_one_sort_build_equals_the_lexsort_rule_on_generated_graphs(n):
+    _assert_build_matches_lexsort(generate_h_graph(n, 8, seed=n))
+
+
 def test_port_gather_equals_arc_scatter(tree_d8):
     rng = np.random.default_rng(0)
     for h in (tree_d8, generate_h_graph(40, 4, seed=2)):
@@ -187,10 +282,14 @@ def _assert_layer_matches_closure(h, k):
         row = idx[ptr[v]:ptr[v + 1]]
         np.testing.assert_array_equal(topo.l_neighbors(v), row)
         assert topo.g_degree(v) == row.size
-        np.testing.assert_array_equal(balls(h, [v], k)[0], ball(h, v, k))
+        np.testing.assert_array_equal(balls(h, [v], k)[0], _ball(h, v, k))
         members = set(row.tolist())
+        h_members = set(h.simple_neighbors(v).tolist())
         for u in range(-1, h.n + 1):
-            assert _is_g_edge(topo, v, u) == (u in members)
+            assert topo.g_adjacent(v, u) == (u in members)
+            assert h.h_adjacent(v, u) == (u in h_members)
+    for v in (-1, h.n):
+        assert not topo.g_adjacent(v, 0) and not h.h_adjacent(v, 0)
     np.testing.assert_array_equal(topo.l_idx, idx)
 
 
@@ -201,6 +300,12 @@ def test_implicit_layer_equals_closure(n, d, k, seed):
     _assert_layer_matches_closure(generate_h_graph(n, d, seed), k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(h=multigraphs(), k=st.integers(1, 3))
+def test_implicit_layer_equals_closure_on_multigraphs(h, k):
+    _assert_layer_matches_closure(h, k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", ["tree_d8", "path6", "cycle4"])
 def test_implicit_layer_equals_closure_on_fixtures(request, name, k):
@@ -209,10 +314,12 @@ def test_implicit_layer_equals_closure_on_fixtures(request, name, k):
 
 
 def test_implicit_layer_does_not_depend_on_the_block_size(monkeypatch, topo200):
-    monkeypatch.setattr(graph, "_BLOCK_ELEMENTS", 1000)   # one center per block
+    census = census_locally_tree_like(topo200.h, 1)
+    monkeypatch.setattr(graph, "_BLOCK_ELEMENTS", 1000)   # 1-15 centers per block
     small = augment_small_world(topo200.h)
     np.testing.assert_array_equal(small.l_ptr, topo200.l_ptr)
     np.testing.assert_array_equal(small.l_idx, topo200.l_idx)
+    np.testing.assert_array_equal(census_locally_tree_like(topo200.h, 1), census)
 
 
 def test_l_rows_are_symmetric(topo200):
@@ -226,18 +333,16 @@ def test_l_rows_are_symmetric(topo200):
 # ---------------------------------------------------------------------------
 
 def test_ball_radius_zero_is_the_node_itself(topo200):
-    np.testing.assert_array_equal(ball(topo200.h, 17, 0), [17])
+    np.testing.assert_array_equal(balls(topo200.h, [17], 0)[0], [17])
     with pytest.raises(ValueError):
-        ball(topo200.h, 17, -1)
-    with pytest.raises(ValueError):
-        boundary(topo200.h, 17, -1)
+        balls(topo200.h, [17], -1)
 
 
 def test_tree_fixture_ball_and_boundary_sizes(tree_d8):
     assert full_tree_ball_size(8, 2) == 65
-    assert ball(tree_d8, 0, 1).shape[0] == 9
-    assert ball(tree_d8, 0, 2).shape[0] == 65
-    assert boundary(tree_d8, 0, 2).shape[0] == 56
+    assert balls(tree_d8, [0], 1)[0].shape[0] == 9
+    assert balls(tree_d8, [0], 2)[0].shape[0] == 65
+    assert _boundary(tree_d8, 0, 2).shape[0] == 56
     assert is_locally_tree_like(tree_d8, 0, 2)
     # radius 3 exceeds the fixture: the ball stops growing at 65 < full tree
     assert not is_locally_tree_like(tree_d8, 0, 3)
@@ -251,12 +356,13 @@ def test_cycle4_is_tree_like_only_at_radius_one(cycle4):
 
 
 def test_boundary_is_ball_difference(topo200):
+    # the BFS reference's distance levels are the kernel's ball increments
     h = topo200.h
     for v in (0, 50, 199):
         prev = {v}
         for r in range(1, 5):
-            b = set(ball(h, v, r).tolist())
-            assert set(boundary(h, v, r).tolist()) == b - prev
+            b = set(balls(h, [v], r)[0].tolist())
+            assert set(_boundary(h, v, r).tolist()) == b - prev
             assert len(b) >= len(prev)
             prev = b
 
@@ -265,21 +371,32 @@ def test_ball_growth_bounded_by_full_tree(topo200):
     h = topo200.h
     for v in (3, 77, 140):
         for tau in (1, 2):
-            assert ball(h, v, tau).shape[0] <= full_tree_ball_size(8, tau)
+            assert balls(h, [v], tau)[0].shape[0] <= full_tree_ball_size(8, tau)
             assert full_tree_ball_size(8, tau) < 7 ** (tau + 2)
-        assert g_ball(topo200, v, 2).shape[0] <= full_tree_ball_size(8, 6)
+        # G-distance 2 is H-distance 2k
+        assert balls(h, [v], 2 * topo200.k)[0].shape[0] <= full_tree_ball_size(8, 6)
 
 
 def test_g_ball_radius_one_is_closed_neighborhood(topo200):
     for v in (0, 99):
         expected = sorted(set(topo200.l_neighbors(v).tolist()) | {v})
-        np.testing.assert_array_equal(g_ball(topo200, v, 1), expected)
+        np.testing.assert_array_equal(_ball(topo200.h, v, topo200.k), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=multigraphs(), r=st.integers(0, 4), data=st.data())
+def test_balls_equal_bfs_on_multigraphs(h, r, data):
+    for v, got in zip(range(h.n), balls(h, range(h.n), r)):
+        np.testing.assert_array_equal(got, _ball(h, v, r))
+    sources = data.draw(st.lists(st.integers(0, h.n - 1), max_size=4))
+    expected = set().union(*(_ball(h, s, r).tolist() for s in sources))
+    assert set(np.flatnonzero(reach_within(h, sources, r)).tolist()) == expected
 
 
 def test_reach_within_agrees_with_balls(topo200):
     h = topo200.h
     mask = reach_within(h, np.array([5, 60]), 2)
-    expected = set(ball(h, 5, 2).tolist()) | set(ball(h, 60, 2).tolist())
+    expected = set(_ball(h, 5, 2).tolist()) | set(_ball(h, 60, 2).tolist())
     assert set(np.flatnonzero(mask).tolist()) == expected
     none = reach_within(h, np.array([], dtype=np.int64), 3)
     assert not none.any()
@@ -294,6 +411,39 @@ def test_census_matches_per_node_probe():
     vec = census_locally_tree_like(h, 1)
     loop = np.array([is_locally_tree_like(h, v, 1) for v in range(400)])
     np.testing.assert_array_equal(vec, loop)
+    assert not vec.all()                      # the probe sees both outcomes
+
+
+def test_census_sees_a_parallel_edge_at_a_node_above_degree_d():
+    # node 0 has 8 distinct neighbors but degree 9: the edge 0-1 is doubled
+    h = HMultigraph.from_edges(n=9, d=8, edges=[(0, i, 1) for i in range(1, 9)]
+                               + [(0, 1, 2)])
+    assert not is_locally_tree_like(h, 0, 1)
+    assert not census_locally_tree_like(h, 1)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=multigraphs())
+def test_census_equals_the_definition_on_multigraphs(h):
+    want = [_tree_like(h, v, 1) for v in range(h.n)]
+    np.testing.assert_array_equal(census_locally_tree_like(h, 1), want)
+    for r in (1, 2):
+        assert [is_locally_tree_like(h, v, r) for v in range(h.n)] == \
+            [_tree_like(h, v, r) for v in range(h.n)]
+
+
+@pytest.mark.parametrize("edges,expected", [
+    # star on 0 with d=3: tree-like until a self-loop lands at 0 or at a leaf,
+    # or two leaves are joined
+    ([(0, 1, 1), (0, 2, 1), (0, 3, 1)], True),
+    ([(0, 1, 1), (0, 2, 1), (0, 3, 1), (2, 2, 1)], False),
+    ([(0, 1, 1), (0, 2, 1), (0, 0, 1)], False),
+    ([(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 3, 1)], False),
+    ([(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1)], True),
+])
+def test_census_on_stars(edges, expected):
+    h = HMultigraph.from_edges(5, 3, edges)
+    assert census_locally_tree_like(h, 1)[0] == expected == _tree_like(h, 0, 1)
 
 
 def test_census_on_hand_built_graphs(tree_d8, cycle4):

@@ -1,18 +1,44 @@
-"""The benchmark tracer in ``perfbench/`` patches byzcount by attribute name.
+"""Tooling guards.
 
+The benchmark tracer in ``perfbench/`` patches byzcount by attribute name.
 It is loaded here read-only, so a refactor that renames or drops one of the
 names it wraps, or the small-world table fields it measures, fails Tier-1
 instead of breaking traced benchmark runs.
+
+The package's only runtime dependency is numpy: scipy and networkx serve the
+tests as oracles, and importing byzcount must not pay for them.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
 from byzcount import engine
 from byzcount.graph import generate_h_graph
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def test_import_loads_neither_scipy_nor_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, byzcount; "
+            "print([m for m in ('scipy', 'networkx') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 def _load_tracer():
