@@ -30,6 +30,7 @@ __all__ = [
     "RoundContext",
     "LocalView",
     "TopologyConflict",
+    "claim_table",
     "draw_colors",
     "alpha_subphases",
     "continuation_threshold",
@@ -342,34 +343,43 @@ class TopologyConflict:
 class LocalView:
     """A node's reconstructed picture of B_H(self, k).
 
-    ``adj`` maps each known member to a {neighbor: multiplicity} table;
-    the members are the keys of the given ``adj`` and every table is cut
-    down to them.  Edges claimed by only one endpoint (the other never
-    reported) are taken on the claimant's word.
+    ``tables`` maps each member of the ball to its {neighbor: multiplicity}
+    claim table; the members are its keys.  The tables are held by
+    reference, not copied: a table may name nodes outside the ball and may
+    be shared with other views, so lookups cut it to the members and
+    nothing may mutate it.  Edges claimed by only one endpoint (the other
+    never reported) are taken on the claimant's word.
     """
 
     def __init__(self, center: int, k: int,
-                 adj: Mapping[int, Mapping[int, int]]) -> None:
+                 tables: Mapping[int, Mapping[int, int]]) -> None:
         self.center = center
         self.k = k
-        self.adj = {x: {y: m for y, m in nbrs.items() if y in adj}
-                    for x, nbrs in adj.items()}
-        self.members = frozenset(self.adj)
+        self.tables = tables
+        self.members = tables.keys()
 
     def __contains__(self, node: int) -> bool:
         return node in self.members
 
     def h_adjacent(self, a: int, b: int) -> bool:
-        return b in self.adj.get(a, ())
+        return b in self.tables.get(a, ()) and b in self.members
 
     def h_neighbors(self, a: int) -> set[int]:
-        return set(self.adj.get(a, ()))
+        return self.members & self.tables.get(a, {}).keys()
+
+
+def claim_table(ports: Iterable[int]) -> dict[int, int]:
+    """Tally an adjacency list into a {neighbor: multiplicity} claim table."""
+    out: dict[int, int] = {}
+    for x in map(int, ports):
+        out[x] = out.get(x, 0) + 1
+    return out
 
 
 def reconstruct_local_topology(
     center: int,
-    own_ports: Iterable[int],
-    reports: Mapping[int, Iterable[int]],
+    own: Mapping[int, int],
+    reports: Mapping[int, Mapping[int, int]],
     k: int,
     expected_degree: int | None = None,
 ) -> LocalView | TopologyConflict:
@@ -378,16 +388,20 @@ def reconstruct_local_topology(
     Parameters
     ----------
     center : int
-    own_ports : iterable of int
-        The node's own H-port table (neighbors with multiplicity); trusted.
+    own : mapping
+        The claim table of the node's own H-ports (neighbor ->
+        multiplicity, see ``claim_table``); trusted.
     reports : mapping
-        reporter -> claimed H-neighbor list (with multiplicity), one entry
-        per G-neighbor that answered.  Missing reporters are allowed; their
-        edges are taken from the other endpoint's claim.
+        reporter -> claim table of its claimed H-neighbors, one entry per
+        G-neighbor that answered.  Missing reporters are allowed; their
+        edges are taken from the other endpoint's claim.  The tables are
+        read, never written, and the returned view holds them by
+        reference, so callers may share one table among many receivers.
     k : int
         Ball radius to reconstruct.
     expected_degree : int, optional
-        When set, a report whose list length differs is itself a conflict.
+        When set, a report whose multiplicities do not sum to it is itself
+        a conflict.
 
     Returns
     -------
@@ -397,19 +411,12 @@ def reconstruct_local_topology(
         other denies is the multiplicity pair 1 vs 0), or a report is
         malformed.  Honest, truthful reports can never produce one.
     """
-    def tally(lst: Iterable[int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for x in map(int, lst):
-            out[x] = out.get(x, 0) + 1
-        return out
-
-    claims = {center: tally(own_ports)}
-    for reporter, lst in reports.items():
-        lst = list(lst)
-        if expected_degree is not None and len(lst) != expected_degree:
+    claims = {center: own}
+    for reporter, table in reports.items():
+        if expected_degree is not None and sum(table.values()) != expected_degree:
             return TopologyConflict(center=center, a=int(reporter), b=int(reporter),
                                     detail="report length != d")
-        claims[int(reporter)] = tally(lst)
+        claims[int(reporter)] = table
 
     # Any one-sided mention of a pair where both hold claim tables is a
     # contradiction (covers both "claims an edge the other denies" and
@@ -429,19 +436,19 @@ def reconstruct_local_topology(
         return {y: their[x] for y, their in claims.items() if x in their}
 
     # BFS over the claimed edge relation out to depth k
-    adj = {center: claimed_neighbors(center)}
+    tables = {center: claimed_neighbors(center)}
     frontier = [center]
     for _ in range(k):
         nxt = []
         for u in frontier:
-            for w in adj[u]:
-                if w not in adj:
-                    adj[w] = claimed_neighbors(w)
+            for w in tables[u]:
+                if w not in tables:
+                    tables[w] = claimed_neighbors(w)
                     nxt.append(w)
         frontier = nxt
     # agreement makes the tables symmetric already; the view cuts them to
-    # the ball
-    return LocalView(center=center, k=k, adj=adj)
+    # the ball on lookup
+    return LocalView(center=center, k=k, tables=tables)
 
 
 # ---------------------------------------------------------------------------

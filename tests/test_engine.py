@@ -25,7 +25,7 @@ from byzcount.engine import (
     write_trial_csv,
 )
 from byzcount.graph import HMultigraph, augment_small_world, classify_nodes
-from byzcount.protocol import ORIGIN, Token
+from byzcount.protocol import ORIGIN, Token, claim_table
 
 
 def _tok(color, hop, src, *, phase=1, subphase=1, pred=ORIGIN):
@@ -265,6 +265,12 @@ def test_executors_agree_under_late_injection():
                             strategy="late_injector")
 
 
+@pytest.mark.parametrize("strategy", ["topology_liar", "max_injector", "composite"])
+def test_executors_agree_at_n512(strategy):
+    _assert_executors_agree(n=512, seed=0, algorithm="byzantine", strategy=strategy,
+                            strategy_params=GRID_STRATEGIES[strategy])
+
+
 def test_executors_agree_on_an_irregular_tree(tree_d8):
     # the leaves have degree 1, so under the hardened protocol every honest
     # node hearing a leaf's report crashes in both executors
@@ -299,6 +305,70 @@ def test_executors_agree_on_who_hears_a_short_report(path6, strategy, byz, crash
     assert fast.transcript_hash == ref.transcript_hash
     assert np.flatnonzero(fast.crashed).tolist() == crashed
     np.testing.assert_array_equal(fast.crashed, ref.crashed)
+
+
+# ---------------------------------------------------------------------------
+# shared claim tables in the reference setup
+# ---------------------------------------------------------------------------
+
+LIAR_MAX_128 = dict(n=128, seed=0, algorithm="byzantine", strategy="composite",
+                    strategy_params=LIAR_MAX, engine="reference")
+
+
+def _capture_memos(mp, memos):
+    """Make ``_Run.truthful_claim`` record every memo it is handed."""
+    real = engine._Run.truthful_claim
+
+    def truthful_claim(run, v, memo):
+        if memo is not None:
+            memos[id(memo)] = memo
+        return real(run, v, memo)
+
+    mp.setattr(engine._Run, "truthful_claim", truthful_claim)
+
+
+def test_shared_claim_tables_reconstruct_like_fresh_tallies():
+    runs = {}
+    real = engine._Run.truthful_claim
+    for fresh in (False, True):
+        run = engine._Run(ExperimentConfig(**LIAR_MAX_128), trial=0)
+        with pytest.MonkeyPatch.context() as mp:
+            if fresh:  # the same setup with every report tallied afresh
+                mp.setattr(engine._Run, "truthful_claim",
+                           lambda run, v, memo: real(run, v, None))
+            run.run_setup(full=True)
+        runs[fresh] = run
+    shared, fresh = runs[False], runs[True]
+    assert shared.crashed.any()
+    np.testing.assert_array_equal(shared.crashed, fresh.crashed)
+    assert shared.views.keys() == fresh.views.keys()
+    for v, view in shared.views.items():
+        other = fresh.views[v]
+        assert view.members == other.members
+        for a in view.members:
+            for b in view.members:
+                assert view.h_adjacent(a, b) == other.h_adjacent(a, b)
+
+
+def test_shared_claim_tables_are_never_mutated():
+    cfg = ExperimentConfig(**LIAR_MAX_128)
+    memos = {}
+    with pytest.MonkeyPatch.context() as mp:
+        _capture_memos(mp, memos)
+        run = engine._Run(cfg, trial=0)
+        run.run_setup(full=True)
+    (memo,) = memos.values()
+    truth = {v: claim_table(run.truthful_report(v)) for v in range(run.n)}
+    assert memo == truth
+    # every view holds its center's table by reference, not a copy
+    assert run.views and all(view.tables[v] is memo[v] for v, view in run.views.items())
+
+    memos.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        _capture_memos(mp, memos)
+        run_experiment(cfg)
+    (memo,) = memos.values()
+    assert memo == truth
 
 
 def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):

@@ -27,6 +27,7 @@ from byzcount.protocol import (
     TopologyConflict,
     alpha_subphases,
     byzantine_node_step,
+    claim_table,
     continuation_threshold,
     draw_colors,
     honest_node_step,
@@ -335,8 +336,13 @@ def _cycle8_reports():
     return {1: (0, 2), 2: (1, 3), 6: (5, 7), 7: (6, 0)}
 
 
+def _tallied(reports):
+    return {u: claim_table(lst) for u, lst in reports.items()}
+
+
 def test_reconstruction_faithful_cycle():
-    view = reconstruct_local_topology(0, (1, 7), _cycle8_reports(), 2,
+    view = reconstruct_local_topology(0, claim_table((1, 7)),
+                                      _tallied(_cycle8_reports()), 2,
                                       expected_degree=2)
     assert isinstance(view, LocalView)
     assert view.members == frozenset({0, 1, 2, 6, 7})
@@ -350,7 +356,8 @@ def test_reconstruction_faithful_cycle():
 def test_reconstruction_detects_denied_edge():
     reports = dict(_cycle8_reports())
     reports[1] = (2, 5)                   # claims the center is not a neighbor
-    out = reconstruct_local_topology(0, (1, 7), reports, 2, expected_degree=2)
+    out = reconstruct_local_topology(0, claim_table((1, 7)), _tallied(reports), 2,
+                                     expected_degree=2)
     assert isinstance(out, TopologyConflict)
     assert out.detail == "asymmetric adjacency claim"
     assert {out.a, out.b} == {0, 1}
@@ -359,7 +366,8 @@ def test_reconstruction_detects_denied_edge():
 def test_reconstruction_detects_short_report():
     reports = dict(_cycle8_reports())
     reports[1] = (0,)
-    out = reconstruct_local_topology(0, (1, 7), reports, 2, expected_degree=2)
+    out = reconstruct_local_topology(0, claim_table((1, 7)), _tallied(reports), 2,
+                                     expected_degree=2)
     assert isinstance(out, TopologyConflict)
     assert out.detail == "report length != d"
 
@@ -367,14 +375,16 @@ def test_reconstruction_detects_short_report():
 def test_reconstruction_detects_multiplicity_mismatch():
     # center's port table shows a double edge to 1; 1 claims a single edge
     reports = {1: (0, 2), 2: (1, 1)}
-    out = reconstruct_local_topology(0, (1, 1), reports, 1, expected_degree=2)
+    out = reconstruct_local_topology(0, claim_table((1, 1)), _tallied(reports), 1,
+                                     expected_degree=2)
     assert isinstance(out, TopologyConflict)
     assert out.detail == "asymmetric adjacency claim"
 
 
 def test_reconstruction_tolerates_missing_report():
     reports = {1: (0, 2), 7: (6, 0), 6: (5, 7)}   # node 2 stays silent
-    view = reconstruct_local_topology(0, (1, 7), reports, 2, expected_degree=2)
+    view = reconstruct_local_topology(0, claim_table((1, 7)), _tallied(reports), 2,
+                                      expected_degree=2)
     assert isinstance(view, LocalView)
     assert 2 in view.members                       # on node 1's word alone
     assert view.h_adjacent(1, 2)
@@ -382,7 +392,8 @@ def test_reconstruction_tolerates_missing_report():
 
 def test_reconstruction_keeps_phantom_on_claimants_word():
     reports = {1: (0, 99), 7: (6, 0), 6: (5, 7)}
-    view = reconstruct_local_topology(0, (1, 7), reports, 2, expected_degree=2)
+    view = reconstruct_local_topology(0, claim_table((1, 7)), _tallied(reports), 2,
+                                      expected_degree=2)
     assert isinstance(view, LocalView)
     assert 99 in view.members and view.h_adjacent(1, 99)
 
@@ -494,13 +505,26 @@ def _claim_sets(draw):
 def test_reconstruction_equals_the_reference_rule(case):
     center, own, reports, k, expected = case
     want = _reconstruct_before(center, own, reports, k, expected)
-    got = reconstruct_local_topology(center, own, reports, k, expected_degree=expected)
+    tables = _tallied(reports)
+    before = {u: dict(t) for u, t in tables.items()}
+    got = reconstruct_local_topology(center, claim_table(own), tables, k,
+                                     expected_degree=expected)
+    assert tables == before                 # the claim tables are only read
     if isinstance(want, TopologyConflict):
-        assert got == want
+        assert isinstance(got, TopologyConflict)
+        assert (got.center, got.a, got.b, got.detail) == (
+            want.center, want.a, want.b, want.detail)
     else:
         assert isinstance(got, LocalView)
         assert got.members == frozenset(want)
-        assert got.adj == want
+        cut = {x: {y: m for y, m in got.tables[x].items() if y in got.members}
+               for x in got.members}
+        assert cut == want
+        probe = set(want) | {y for t in tables.values() for y in t}
+        for a in probe:
+            assert got.h_neighbors(a) == set(want.get(a, ()))
+            for b in probe:
+                assert got.h_adjacent(a, b) == (b in want.get(a, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +533,8 @@ def test_reconstruction_equals_the_reference_rule(case):
 
 @pytest.fixture(scope="module")
 def cycle_view():
-    view = reconstruct_local_topology(0, (1, 7), _cycle8_reports(), 2,
+    view = reconstruct_local_topology(0, claim_table((1, 7)),
+                                      _tallied(_cycle8_reports()), 2,
                                       expected_degree=2)
     assert isinstance(view, LocalView)
     return view

@@ -68,13 +68,17 @@ def test_augment_result_has_the_measured_tables():
 
 def test_reference_run_calls_the_traced_layers_through_the_engine(monkeypatch):
     # the tracer times these layers by swapping engine's module globals, so
-    # the reference executor must keep calling them through those names
+    # the reference executor must keep calling them through those names;
+    # its conflict count is the number of TopologyConflict results
     calls = Counter()
     for name in ("reconstruct_local_topology", "deliver_round",
                  "byzantine_node_step", "verify_color_provenance"):
         def counted(*args, _real=getattr(engine, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            result = _real(*args, **kwargs)
+            if isinstance(result, engine.TopologyConflict):
+                calls["conflicts"] += 1
+            return result
         monkeypatch.setattr(engine, name, counted)
     cfg = engine.ExperimentConfig(n=64, seed=1, algorithm="byzantine",
                                   strategy="max_injector", engine="reference")
@@ -84,3 +88,12 @@ def test_reference_run_calls_the_traced_layers_through_the_engine(monkeypatch):
     assert calls["deliver_round"] == rounds
     assert calls["byzantine_node_step"] == 64 * rounds
     assert calls["verify_color_provenance"] > 0
+    assert calls["conflicts"] == 0
+
+    calls.clear()
+    res = engine.run_experiment(engine.ExperimentConfig(
+        n=64, seed=1, algorithm="byzantine", strategy="topology_liar",
+        engine="reference"))
+    assert calls["reconstruct_local_topology"] == 64
+    # honest nodes crash only at setup, each on one conflict
+    assert calls["conflicts"] == res.crashed_honest > 0
