@@ -20,7 +20,7 @@ n, d, seed = 20_000, 8, 0
 
 h = generate_h_graph(n, d, seed)
 topo = augment_small_world(h)
-degrees = np.diff(h.arc_ptr)
+degrees = h.degrees
 print(f"H({n}, {d}) from seed {seed}: {d // 2} labelled cycles, "
       f"degree min/max = {degrees.min()}/{degrees.max()}")
 print(f"parallel edge pairs (two cycles sharing an edge): {count_parallel_pairs(h)}")

@@ -175,7 +175,7 @@ class _LateInjector(AdversaryStrategy):
             return
 
         def pick_next(cur: int, avoid: set[int]) -> int | None:
-            nbrs = [int(x) for x in h.simple_neighbors(cur) if int(x) not in avoid]
+            nbrs = [x for x in h.neighbors(cur).tolist() if x not in avoid]
             if not nbrs:
                 return None
             byz_nbrs = [x for x in nbrs if x in self._byz]

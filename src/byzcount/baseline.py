@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import NODE_CSV_FIELDS
 from .graph import Topology
+from .protocol import draw_colors
 from .rng import stream
 
 __all__ = ["SupportEstimate", "run_support_estimation",
@@ -61,7 +62,7 @@ def run_support_estimation(topo: Topology,
     if rounds is None:
         rounds = 4 * math.ceil(math.log2(n)) + 10
     rng = stream(seed, "trial", 0)
-    samples = rng.geometric(0.5, size=n).astype(np.int64)
+    samples = draw_colors(rng, n)
     byz_mask = np.zeros(n, dtype=bool)
     if byz is not None:
         byz_idx = np.asarray(byz, dtype=np.int64)

@@ -130,10 +130,8 @@ def cmd_sweep(args) -> int:
         row.update(trials=trials, cell_seed=cell_seed)
         try:
             results = run_trials(ExperimentConfig.from_dict(data))
-        except Exception as exc:  # mark the cell, keep sweeping
-            row.update(status=f"failed: {exc}", est_median="", est_q1="",
-                       est_q3="", success_mean="", byz_safe_success_mean="",
-                       rounds_mean="", crashed_honest_mean="")
+        except Exception as exc:  # mark the cell, keep sweeping; metrics stay empty
+            row.update(status=f"failed: {exc}")
             rows.append(row)
             continue
         ests = []
@@ -156,10 +154,9 @@ def cmd_sweep(args) -> int:
         )
         rows.append(row)
 
-    header = ["cell", "n", "d", "delta", "epsilon", "strategy", "algorithm",
-              "trials", "cell_seed", "status", "est_median", "est_q1", "est_q3",
-              "success_mean", "byz_safe_success_mean", "rounds_mean",
-              "crashed_honest_mean"]
+    header = ["cell", *_SWEEP_LIST_FIELDS, "trials", "cell_seed", "status",
+              "est_median", "est_q1", "est_q3", "success_mean",
+              "byz_safe_success_mean", "rounds_mean", "crashed_honest_mean"]
     with open(out + ".csv", "w", newline="") as fh:
         fh.write("# sweep " + json.dumps({"spec": spec, "seed": root_seed,
                                           "trials": trials}) + "\n")

@@ -38,7 +38,7 @@ import json
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .graph import (
     classify_nodes,
     generate_h_graph,
     place_byzantine,
-    reach_within,
 )
 from .protocol import (
     ORIGIN,
@@ -90,13 +89,6 @@ NODE_CSV_FIELDS = ("trial", "node_id", "class", "decided", "estimate", "crashed"
 
 class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
-
-
-_CONFIG_FIELDS = (
-    "n", "d", "delta", "epsilon", "seed", "algorithm", "strategy",
-    "strategy_params", "phase_cap", "subphase_factor", "alpha_variant",
-    "trials", "band", "a_radius", "tree_radius", "relax_degree", "engine",
-)
 
 
 @dataclass
@@ -181,7 +173,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config: expected a JSON object")
-        unknown = sorted(set(data) - set(_CONFIG_FIELDS))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"config: unknown fields {', '.join(unknown)}")
         kwargs = dict(data)
@@ -287,7 +279,6 @@ class _Run:
         self.n = topo.h.n
         self.d = topo.h.d
         self.k = topo.k
-        self.degrees = np.diff(topo.h.arc_ptr).astype(np.int64)
 
         if byz is not None:
             self.byz_nodes = np.asarray(byz, dtype=np.int64)
@@ -359,13 +350,13 @@ class _Run:
     def run_setup(self, full: bool) -> None:
         """One round of adjacency-list exchange; reconstruction and crashes.
 
-        ``full`` reconstructs every node's view (reference executor);
-        otherwise only receivers of untruthful reports are reconstructed
-        and everyone else keeps a faithful stand-in view, which is exact
-        because truthful reports always reconstruct faithfully.  A truthful
-        report is as long as its sender's H-degree, so the fast path still
-        crashes, as reconstruction would, every honest node that hears a
-        report from a node of degree other than d within H-distance k.
+        ``full`` reconstructs every node's view (reference executor).
+        Otherwise only two kinds of receiver are reconstructed: receivers
+        of untruthful reports, and the G-neighbours of every reporting node
+        of degree other than d, whose truthful report fails the length-d
+        check, so reconstruction crashes its honest hearers.  Everyone else
+        keeps a faithful stand-in view, which is exact because truthful
+        reports of length d always reconstruct faithfully.
 
         In the full setup each truthful sender's claim table is tallied
         once, on first use, and shared by reference with every receiver
@@ -387,16 +378,13 @@ class _Run:
         if self.strategy is not None:
             self.lie_rx_set = {int(v) for v in self.strategy.lie_receivers()
                                if not self.byz_mask[v]}
-        if not full:
-            silent = self.strategy is not None and not self.strategy.sends_reports
-            odd = (self.degrees != self.d) & ~(self.byz_mask & silent)
-            for u in np.flatnonzero(odd):
-                hears = reach_within(self.topo.h, [u], self.k)
-                hears[u] = False
-                self.crashed |= hears & ~self.byz_mask
-        receivers = range(self.n) if full else sorted(self.lie_rx_set)
+        silent = self.strategy is not None and not self.strategy.sends_reports
+        odd = (self.topo.h.degrees != self.d) & ~(self.byz_mask & silent)
+        receivers = set(range(self.n)) if full else set(self.lie_rx_set)
+        for u in np.flatnonzero(odd):
+            receivers.update(self.topo.l_neighbors(u).tolist())
         memo: dict[int, dict[int, int]] | None = {} if full else None
-        for v in receivers:
+        for v in sorted(receivers):
             reports = {}
             for u in self.topo.l_neighbors(v).tolist():
                 table = self.claim_for(u, v, memo)
@@ -461,8 +449,7 @@ def _check_key_range(colors, n: int) -> None:
 
 
 def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
-                   recv_src: np.ndarray, send, extras, verify_all: bool,
-                   verify) -> None:
+                   recv_src: np.ndarray, send, extras, verify) -> None:
     """Verification in one round of the hardened fast path, in place.
 
     ``recv_col``/``recv_src`` hold each node's gathered top color and its
@@ -475,8 +462,7 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
     sender, pred)`` runs only on the Byzantine items that outrank it, in
     the (−color, sender) order with ports before extras on ties; the first
     that passes wins, else the honest item does at the same query cost.
-    Lie receivers verify every item, as every touched node does when
-    ``verify_all`` is set.
+    Lie receivers verify every item.
     """
     n, ports, byz, cnt = run.n, run.topo.h.ports, run.byz_mask, run.counters
     bits = n.bit_length()
@@ -498,7 +484,7 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
         return
     pm = ports[:, hot]
     kp, isb = key[pm], byz_send[pm]
-    full = lie[hot] | verify_all
+    full = lie[hot]
     # the best honest item's key; 0 if there is none or every item is verified
     hk = np.where(isb | full, 0, kp).max(axis=0)
     q, r = np.nonzero((full & sending[pm] | isb & ((kp > hk) | (hk == 0))).T)
@@ -538,16 +524,17 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     2^bits > n, whose max also names the smallest sender of the top color
     (0 stands for no sender, a color below 1 and the sentinel); it keeps
     predecessors and forwarding logs, and ``_correct_round`` verifies the
-    Byzantine items at the nodes they reach.
+    Byzantine items at the nodes they reach.  As in ``honest_node_step``,
+    a round-1 color below 1 (only scripts give one) originates nothing.
     """
     n = run.n
     cnt = run.counters
-    ports = run.topo.h.ports
-    byz, crashed, supp = run.byz_mask, run.crashed, run.suppressed
+    ports, degrees = run.topo.h.ports, run.topo.h.degrees
+    crashed, supp = run.crashed, run.suppressed
     verifying = run.cfg.algorithm == "byzantine"
     proc = ~crashed & ~supp
 
-    origin = proc & run.active
+    origin = proc & run.active & (colors >= 1)
     best = np.where(origin, colors, 0).astype(np.int64)
     best_src = np.full(n, ORIGIN, dtype=np.int64)
     last_sent = best.copy()
@@ -565,8 +552,6 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     bits, rank = n.bit_length(), np.arange(n, -1, -1)
     if verifying:
         _check_key_range(colors, n)
-    # honest colors below 1 can only come from scripted round-1 colors
-    low = verifying and bool((colors[origin & ~byz] < 1).any())
     log: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     extras_next: list[tuple[int, int, int, int]] = []
 
@@ -619,7 +604,7 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     # the final round's apply_injections writes them, after the last verify
     if verifying:
         log[1] = (send_mask, send_color, send_pred)
-    n_sent = int(run.degrees[send_mask].sum())
+    n_sent = int(degrees[send_mask].sum())
     cnt.sent += n_sent
     cnt.delivered += n_sent
 
@@ -638,8 +623,7 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
         recv_col = np.where(proc, top, 0)
         if verifying:
             _correct_round(run, t - 1, gat, recv_col, recv_src,
-                           (send_mask, send_color, send_pred), extras,
-                           low and t == 2, verify)
+                           (send_mask, send_color, send_pred), extras, verify)
 
         got = proc & (recv_col >= 1)
         np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
@@ -657,7 +641,7 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
             apply_injections(t)
             if verifying:
                 log[t] = (send_mask, send_color, send_pred)
-            n_sent = int(run.degrees[send_mask].sum())
+            n_sent = int(degrees[send_mask].sum())
             cnt.sent += n_sent
             cnt.delivered += n_sent
         else:

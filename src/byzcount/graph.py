@@ -5,9 +5,11 @@ the union of d/2 uniformly random Hamiltonian cycles.  A small-world layer L
 connects every pair of nodes at H-distance at most k = ceil(d/3); the full
 graph G = H + L is what Byzantine-tolerant runs communicate over.
 
-Every setup question runs on numpy alone, over the padded (max degree, n)
-port matrix of H: the ball kernel, the radius-1 tree-likeness census,
-reachability and the spectral estimate's A·x are all gathers through it.
+H keeps one adjacency: its padded (max degree, n) port matrix, built from
+one sort of the arc keys, plus the degree of every node.  Neighbor lists
+are slices of it, and every setup question runs on numpy alone as gathers
+through it: the ball kernel, the radius-1 tree-likeness census,
+reachability and the spectral estimate's A·x.
 L is implicit: the ball kernel gathers every walk of length <= r from a
 block of centers, sorts each center's row of walk ends and keeps the
 distinct nodes.  Building a topology only counts G-degrees; a node's G-row
@@ -79,9 +81,13 @@ class HMultigraph:
         full 64-bit space; their width carries no information about n.
     seed : int
         Seed the graph (and its ids) were derived from.
+    degrees : np.ndarray
+        Shape (n,) int64 degree of every node, parallel edges counted.
     ports : np.ndarray
-        Shape (max degree, n) intp port matrix (at least one row).  Column
-        v lists ``neighbors(v)`` in order, padded with the sentinel n.
+        Shape (max degree, n) intp port matrix (at least one row), H's only
+        stored adjacency.  Column v lists v's neighbors with multiplicity,
+        sorted, in its first ``degrees[v]`` rows; the rest hold the
+        sentinel n.
     """
 
     n: int
@@ -89,11 +95,7 @@ class HMultigraph:
     edges: np.ndarray
     ids: np.ndarray
     seed: int = 0
-    # CSR-style adjacency, built once in __post_init__.
-    arc_ptr: np.ndarray = field(init=False, repr=False)
-    arc_dst: np.ndarray = field(init=False, repr=False)
-    simple_ptr: np.ndarray = field(init=False, repr=False)
-    simple_idx: np.ndarray = field(init=False, repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
     ports: np.ndarray = field(init=False, repr=False)
     _nbr_sets: dict[int, frozenset] = field(default_factory=dict, init=False,
                                             repr=False)
@@ -106,19 +108,14 @@ class HMultigraph:
         key = np.concatenate([u * n + v, v * n + u])
         key.sort()
         src, dst = np.divmod(key, n)
-        self.arc_ptr = _prefix_sum(np.bincount(src, minlength=n))
-        self.arc_dst = dst
-        # ports[r, v] = r-th entry of neighbors(v); max(axis=0) over a gather
+        self.degrees = np.bincount(src, minlength=n)
+        # ports[r, v] = r-th neighbor of v; max(axis=0) over a gather
         # through it is the per-node max over in-arcs (H is symmetric)
-        degs = np.diff(self.arc_ptr)
-        width = max(int(degs.max(initial=0)), 1)
+        width = max(int(self.degrees.max(initial=0)), 1)
         self.ports = np.full((width, n), n, dtype=np.intp)
-        self.ports[np.arange(src.size) - self.arc_ptr[src], src] = dst
-        # deduplicated neighbor lists: the first arc of each key
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        self.simple_ptr = _prefix_sum(np.bincount(src[first], minlength=n))
-        self.simple_idx = dst[first]
+        row = np.arange(src.size)
+        row -= (np.cumsum(self.degrees) - self.degrees)[src]  # rank within src's arcs
+        self.ports[row, src] = dst
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges, seed: int = 0, check: bool = False) -> "HMultigraph":
@@ -126,8 +123,7 @@ class HMultigraph:
         g = cls(n=n, d=d, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 3),
                 ids=derive_node_ids(n, seed), seed=seed)
         if check:
-            degs = np.diff(g.arc_ptr)
-            if not np.all(degs == d):
+            if not np.all(g.degrees == d):
                 raise ValueError("edge list is not d-regular")
             labels = g.edges[:, 2]
             if labels.size and (labels.min() < 1 or labels.max() > max(d // 2, 1)):
@@ -135,15 +131,15 @@ class HMultigraph:
         return g
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Neighbors of v with multiplicity (one entry per incident edge)."""
-        return self.arc_dst[self.arc_ptr[v]:self.arc_ptr[v + 1]]
+        """Neighbors of v with multiplicity (one entry per incident edge), sorted."""
+        return self.ports[:self.degrees[v], v]
 
     def simple_neighbors(self, v: int) -> np.ndarray:
         """Distinct neighbors of v, sorted."""
-        return self.simple_idx[self.simple_ptr[v]:self.simple_ptr[v + 1]]
+        return np.unique(self.neighbors(v))
 
     def degree(self, v: int) -> int:
-        return int(self.arc_ptr[v + 1] - self.arc_ptr[v])
+        return int(self.degrees[v])
 
     def h_adjacent(self, a: int, b: int) -> bool:
         """True iff an edge joins a and b; a's neighbor set is built on first use."""
@@ -151,7 +147,7 @@ class HMultigraph:
         if nbrs is None:
             if not 0 <= a < self.n:
                 return False
-            nbrs = self._nbr_sets[a] = frozenset(self.simple_neighbors(a).tolist())
+            nbrs = self._nbr_sets[a] = frozenset(self.neighbors(a).tolist())
         return b in nbrs
 
     @cached_property
@@ -167,13 +163,6 @@ class HMultigraph:
         pad = table == n
         table[pad] = np.nonzero(pad)[0]
         return table
-
-
-def _prefix_sum(counts: np.ndarray) -> np.ndarray:
-    """(len + 1) int64 CSR pointers from per-row counts."""
-    ptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr
 
 
 @dataclass
@@ -319,13 +308,13 @@ def generate_h_graph(n: int, d: int, seed: int) -> HMultigraph:
     if d < 2 or d % 2 != 0:
         raise ValueError("d must be an even integer >= 2")
     rng = stream(seed, "graph")
-    rows = []
+    edges = np.empty((d // 2 * n, 3), dtype=np.int64)
     for c in range(1, d // 2 + 1):
         perm = rng.permutation(n)
-        nxt = np.roll(perm, -1)
-        lab = np.full(n, c, dtype=np.int64)
-        rows.append(np.column_stack([perm, nxt, lab]))
-    edges = np.concatenate(rows, axis=0)
+        cycle = edges[(c - 1) * n:c * n]
+        cycle[:, 0] = perm
+        cycle[:, 1] = np.roll(perm, -1)
+        cycle[:, 2] = c
     return HMultigraph(n=n, d=d, edges=edges, ids=derive_node_ids(n, seed), seed=seed)
 
 
@@ -493,7 +482,7 @@ def census_locally_tree_like(h: HMultigraph, r: int) -> np.ndarray:
         return np.array([is_locally_tree_like(h, v, r) for v in range(h.n)], dtype=bool)
     d, ports = h.d, h.ports
     nbrs = ports[:d]  # at a node of degree d: its neighbors, sorted
-    ltl = np.diff(h.arc_ptr) == d
+    ltl = h.degrees == d
     ltl &= np.all(nbrs[1:] != nbrs[:-1], axis=0) & np.all(nbrs != np.arange(h.n), axis=0)
     step = max(1, _BLOCK_ELEMENTS // max(1, ports.shape[0] * d))
     for lo in range(0, h.n, step):
@@ -585,7 +574,7 @@ def longest_byzantine_chain(h: HMultigraph, byz: np.ndarray, cap: int | None = N
         return 0
     byz_set = set(int(b) for b in byz)
     adj = {
-        b: [int(x) for x in set(h.simple_neighbors(b)) if int(x) in byz_set and int(x) != b]
+        b: [x for x in set(h.neighbors(b).tolist()) if x in byz_set and x != b]
         for b in byz_set
     }
     best = 1

@@ -50,11 +50,10 @@ def test_distinct_forwards_stay_logarithmic(topo1024):
 
 def test_convergence_within_graph_diameter(topo1024):
     h = topo1024.h
-    indptr = h.simple_ptr
-    indices = h.simple_idx
-    data = np.ones(indices.shape[0], dtype=np.int8)
-    dist = shortest_path(csr_matrix((data, indices, indptr), shape=(N, N)),
-                         method="D", unweighted=True)
+    u, v = h.edges[:, 0], h.edges[:, 1]
+    arcs = (np.concatenate([u, v]), np.concatenate([v, u]))
+    adj = csr_matrix((np.ones(arcs[0].size, dtype=np.int8), arcs), shape=(N, N))
+    dist = shortest_path(adj, method="D", unweighted=True)
     diameter = int(dist.max())
     for seed in range(10):
         est = run_support_estimation(topo1024, seed=seed)

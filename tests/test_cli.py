@@ -174,6 +174,10 @@ def test_sweep_marks_failed_cells_and_continues(tmp_path):
     rows = list(csv.DictReader(lines))
     statuses = [row["status"] for row in rows]
     assert statuses[0] == "ok" and statuses[1].startswith("failed:")
+    metrics = ("est_median", "est_q1", "est_q3", "success_mean",
+               "byz_safe_success_mean", "rounds_mean", "crashed_honest_mean")
+    assert all(rows[1][name] == "" for name in metrics)
+    assert rows[0]["success_mean"] != ""
 
 
 def test_sweep_passes_fixed_fields_to_every_cell(tmp_path):

@@ -25,7 +25,7 @@ from byzcount.engine import (
     write_trial_csv,
 )
 from byzcount.graph import HMultigraph, augment_small_world, classify_nodes
-from byzcount.protocol import ORIGIN, Token, claim_table
+from byzcount.protocol import ORIGIN, NodeState, RoundContext, Token, claim_table, honest_node_step
 
 
 def _tok(color, hop, src, *, phase=1, subphase=1, pred=ORIGIN):
@@ -389,6 +389,34 @@ def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):
     assert {(t.color, t.pred) for t in seen if t.hop == 2} == {(5, 1)}
 
 
+def test_scripted_colors_below_one_originate_nothing():
+    # honest_node_step sends no round-1 token for a color below 1, so the
+    # fast path counts none either: 14 flood messages on the 6-cycle
+    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
+    topo = augment_small_world(h, k=1)
+    colors, phase = [-1, 3, 0, 1, 1, 2], 2
+    trace = simulate_subphase(topo, phase, colors=colors, threshold=0.0,
+                              relax_degree=True)
+
+    states = [NodeState(node=v, ports=tuple(h.neighbors(v).tolist())) for v in range(6)]
+    counters = engine._Counters()
+    inboxes = {}
+    for t in range(1, phase + 2):
+        outboxes = {}
+        for v in range(6):
+            ctx = RoundContext(phase=phase, subphase=1, t=t, flood_rounds=phase,
+                               threshold=0.0, own_color=colors[v] if t == 1 else None)
+            states[v], out = honest_node_step(states[v], inboxes.get(v, ()), ctx)
+            if out:
+                outboxes[v] = out
+        inboxes = deliver_round(outboxes, topo, counters)
+    setup_reports = int(topo.l_ptr[-1])
+    assert (counters.sent, setup_reports) == (14, 12)
+    assert trace.messages_sent == counters.sent + setup_reports
+    ref_rows = [[st.k_values.get(r, 0) for st in states] for r in range(1, phase + 1)]
+    assert trace.k_rows[1:].tolist() == ref_rows
+
+
 # ---------------------------------------------------------------------------
 # the narrow Byzantine correction against the sorted-inbox rule
 # ---------------------------------------------------------------------------
@@ -516,7 +544,7 @@ def _compare_with_sorted_inbox(real, salt):
     reference on the same round and asserts the same outcome: recv_col,
     recv_src where a node processes, the query and rejection deltas and
     the sequence of verify calls."""
-    def checked(run, hop, key, recv_col, recv_src, send, extras, verify_all, verify):
+    def checked(run, hop, key, recv_col, recv_src, send, extras, verify):
         calls = {"new": [], "ref": []}
 
         def recording(side):
@@ -530,7 +558,7 @@ def _compare_with_sorted_inbox(real, salt):
         ref_col, ref_src = _sorted_inbox_round(run, hop, send, extras, recording("ref"))
         ref_delta = cnt.queries - before[0], cnt.rejected - before[1]
         cnt.queries, cnt.rejected = before
-        real(run, hop, key, recv_col, recv_src, send, extras, verify_all, recording("new"))
+        real(run, hop, key, recv_col, recv_src, send, extras, recording("new"))
         assert calls["new"] == calls["ref"]
         assert (cnt.queries - before[0], cnt.rejected - before[1]) == ref_delta
         np.testing.assert_array_equal(recv_col, ref_col)

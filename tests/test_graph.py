@@ -79,28 +79,45 @@ def _tree_like(h, w, r):
     return induced == 2 * (len(nodes) - 1)
 
 
+def _arcs(h):
+    """Both directions of every H-edge, (src, dst), straight from ``h.edges``."""
+    u, v = h.edges[:, 0], h.edges[:, 1]
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def _edge_neighbors(h):
+    """Each node's sorted neighbor list with multiplicity, from ``h.edges``
+    alone (a self-loop lists its node twice)."""
+    out = [[] for _ in range(h.n)]
+    for s, t in zip(*(a.tolist() for a in _arcs(h))):
+        out[s].append(t)
+    return [sorted(row) for row in out]
+
+
 def _lexsort_build(n, edges):
-    """The H build before the one-sort rule: lexsort plus np.add.at."""
+    """The H build before the one-sort rule: lexsort plus np.add.at.
+
+    Returns the degrees, the port matrix and every node's neighbor list
+    with and without multiplicity."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    arc_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(arc_ptr, src + 1, 1)
-    np.cumsum(arc_ptr, out=arc_ptr)
-    degs = np.diff(arc_ptr)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(ptr, src + 1, 1)
+    np.cumsum(ptr, out=ptr)
+    degs = np.diff(ptr)
     width = max(int(degs.max(initial=0)), 1)
     ports = np.full((width, n), n, dtype=np.intp)
-    ports[np.arange(src.size) - arc_ptr[src], src] = dst
+    ports[np.arange(src.size) - ptr[src], src] = dst
     keep = np.ones(len(src), dtype=bool)
     keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
     s_src, s_dst = src[keep], dst[keep]
-    simple_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(simple_ptr, s_src + 1, 1)
-    np.cumsum(simple_ptr, out=simple_ptr)
-    return {"arc_ptr": arc_ptr, "arc_dst": dst, "ports": ports,
-            "simple_ptr": simple_ptr, "simple_idx": s_dst}
+    nbrs = [dst[ptr[v]:ptr[v + 1]] for v in range(n)]
+    s_ptr = np.searchsorted(s_src, np.arange(n + 1))
+    simple = [s_dst[s_ptr[v]:s_ptr[v + 1]] for v in range(n)]
+    return degs, ports, nbrs, simple
 
 
 @st.composite
@@ -130,8 +147,9 @@ def test_generation_row_count_and_decomposition():
     h = generate_h_graph(10_000, 8, seed=1)
     assert h.edges.shape == (40_000, 3)
     assert_hamiltonian_decomposition(h)
-    degs = np.diff(h.arc_ptr)
+    degs = np.bincount(h.edges[:, :2].ravel(), minlength=h.n)
     assert np.all(degs == 8)
+    np.testing.assert_array_equal(h.degrees, degs)
 
 
 def test_generation_is_deterministic():
@@ -170,12 +188,15 @@ def test_parallel_pair_count_matches_analytic_mean():
 # ---------------------------------------------------------------------------
 
 def _assert_ports_list_neighbors(h):
-    degs = np.diff(h.arc_ptr)
-    assert h.ports.shape == (max(int(degs.max()), 1), h.n)
+    nbrs = _edge_neighbors(h)
+    degs = [len(row) for row in nbrs]
+    assert h.degrees.tolist() == degs
+    assert h.ports.shape == (max(max(degs), 1), h.n)
     for v in range(h.n):
         col = h.ports[:, v]
-        assert col[:degs[v]].tolist() == h.neighbors(v).tolist()
+        assert col[:degs[v]].tolist() == nbrs[v] == h.neighbors(v).tolist()
         assert np.all(col[degs[v]:] == h.n)
+        assert h.degree(v) == degs[v]
 
 
 def test_ports_on_irregular_fixtures(path6, tree_d8):
@@ -196,10 +217,13 @@ def test_ports_keep_parallel_edges():
 
 
 def _assert_build_matches_lexsort(h):
-    for name, want in _lexsort_build(h.n, h.edges).items():
-        got = getattr(h, name)
-        assert got.dtype == want.dtype, name
-        np.testing.assert_array_equal(got, want, err_msg=name)
+    degs, ports, nbrs, simple = _lexsort_build(h.n, h.edges)
+    for got, want in ((h.degrees, degs), (h.ports, ports)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for v in range(h.n):
+        np.testing.assert_array_equal(h.neighbors(v), nbrs[v])
+        np.testing.assert_array_equal(h.simple_neighbors(v), simple[v])
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,9 +241,9 @@ def test_port_gather_equals_arc_scatter(tree_d8):
     rng = np.random.default_rng(0)
     for h in (tree_d8, generate_h_graph(40, 4, seed=2)):
         send = np.append(rng.geometric(0.5, size=h.n) * (rng.random(h.n) < 0.5), 0)
-        src = np.repeat(np.arange(h.n), np.diff(h.arc_ptr))
+        src, dst = _arcs(h)
         scatter = np.zeros(h.n, dtype=np.int64)
-        np.maximum.at(scatter, h.arc_dst, send[src])
+        np.maximum.at(scatter, dst, send[src])
         np.testing.assert_array_equal(send[h.ports].max(axis=0), scatter)
 
 
@@ -261,8 +285,9 @@ def _closure_layer(h, k):
     """L as the sparse boolean closure (A + I)^k without its diagonal: the
     materialized table the implicit layer must reproduce, as CSR arrays."""
     n = h.n
-    a = sp.csr_matrix((np.ones(len(h.simple_idx), dtype=bool), h.simple_idx,
-                       h.simple_ptr.astype(np.int64)), shape=(n, n))
+    src, dst = _arcs(h)
+    a = sp.csr_matrix((np.ones(src.size, dtype=np.int64), (src, dst)),
+                      shape=(n, n)).astype(bool)
     reach = a + sp.identity(n, dtype=bool, format="csr")
     closure = reach
     for _ in range(k - 1):
@@ -277,6 +302,7 @@ def _closure_layer(h, k):
 def _assert_layer_matches_closure(h, k):
     topo = augment_small_world(h, k=k)
     ptr, idx = _closure_layer(h, k)
+    h_nbrs = _edge_neighbors(h)
     np.testing.assert_array_equal(topo.l_ptr, ptr)
     for v in range(h.n):
         row = idx[ptr[v]:ptr[v + 1]]
@@ -284,7 +310,7 @@ def _assert_layer_matches_closure(h, k):
         assert topo.g_degree(v) == row.size
         np.testing.assert_array_equal(balls(h, [v], k)[0], _ball(h, v, k))
         members = set(row.tolist())
-        h_members = set(h.simple_neighbors(v).tolist())
+        h_members = set(h_nbrs[v])
         for u in range(-1, h.n + 1):
             assert topo.g_adjacent(v, u) == (u in members)
             assert h.h_adjacent(v, u) == (u in h_members)
