@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,11 +30,6 @@ __all__ = [
     "Injection",
     "AdversaryStrategy",
     "default_injection_color",
-    "strategy_honest_mimic",
-    "strategy_silent",
-    "strategy_max_injector",
-    "strategy_late_injector",
-    "strategy_topology_liar",
     "CompositeStrategy",
     "make_strategy",
     "STRATEGY_NAMES",
@@ -48,7 +44,7 @@ class Injection:
     """A token a Byzantine node emits outside the honest schedule.
 
     ``targets=None`` broadcasts over the node's H-ports.  ``replace=True``
-    substitutes the node's own emission for the round and rewrites its
+    substitutes the node's own broadcast for the round and rewrites its
     state, so the node subsequently stands by the lie.
     """
 
@@ -56,6 +52,10 @@ class Injection:
     pred: int
     targets: tuple[int, ...] | None = None
     replace: bool = False
+
+    def __post_init__(self):
+        if self.replace and self.targets is not None:
+            raise ValueError("a replace injection broadcasts on H-ports; it takes no targets")
 
 
 def default_injection_color(n: int) -> int:
@@ -69,9 +69,6 @@ class AdversaryStrategy:
     name = "honest_mimic"
     suppress_sends = False
     sends_reports = True
-
-    def __init__(self, **params):
-        self.params = dict(params)
 
     def prepare(self, run) -> None:  # run: engine state, read-only by convention
         pass
@@ -92,11 +89,6 @@ class AdversaryStrategy:
         return TRUTHFUL
 
 
-def strategy_honest_mimic() -> AdversaryStrategy:
-    """Byzantine nodes follow the protocol to the letter."""
-    return AdversaryStrategy()
-
-
 class _Silent(AdversaryStrategy):
     """Byzantine nodes never send anything and never answer anything."""
 
@@ -108,54 +100,24 @@ class _Silent(AdversaryStrategy):
         return None
 
 
-def strategy_silent() -> AdversaryStrategy:
-    return _Silent()
-
-
-class _MaxInjector(AdversaryStrategy):
-    """Replace the round-1 color with a value beyond any honest maximum.
-
-    The injection is a legal origination (round 1, self-provenance), so
-    the hardened verification accepts it; the node's log is rewritten to
-    match and queries are answered truthfully about it.
-    """
-
-    name = "max_injector"
-
-    def __init__(self, magnitude: int | None = None):
-        super().__init__(magnitude=magnitude)
-        self.magnitude = magnitude
-        self.value = 0
-        self._byz: set[int] = set()
-
-    def prepare(self, run) -> None:
-        self.value = int(self.magnitude) if self.magnitude else default_injection_color(run.topo.n)
-        self._byz = set(int(b) for b in run.byz_nodes)
-
-    def injections_for(self, node, ctx):
-        if node in self._byz and ctx.t == 1:
-            return [Injection(color=self.value, pred=ORIGIN, replace=True)]
-        return []
-
-
-def strategy_max_injector(magnitude: int | None = None) -> AdversaryStrategy:
-    return _MaxInjector(magnitude=magnitude)
-
-
 class _LateInjector(AdversaryStrategy):
     """Inject mid-subphase with a fabricated backward chain.
 
     At subphase round ``inject_round`` every Byzantine node emits the
     oversized color with a claimed predecessor chain walked through real H
     edges, preferring Byzantine hops (only an all-Byzantine prefix of
-    length min(t, k) - 1 can survive verification).  ``inject_round=1``
-    degenerates to the max-injector behaviour.
+    length min(t, k) - 1 can survive verification).  ``inject_round``
+    defaults to k; at 1 the node replaces its round-1 color instead, a
+    legal origination that verification accepts.
     """
 
     name = "late_injector"
 
     def __init__(self, inject_round: int | None = None, magnitude: int | None = None):
-        super().__init__(inject_round=inject_round, magnitude=magnitude)
+        for param, value in (("inject_round", inject_round), ("magnitude", magnitude)):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)
+                                      or value < 1):
+                raise ValueError(f"{self.name}: {param} must be an integer >= 1, got {value!r}")
         self.inject_round = inject_round
         self.magnitude = magnitude
         self.value = 0
@@ -166,13 +128,11 @@ class _LateInjector(AdversaryStrategy):
     def prepare(self, run) -> None:
         h = run.topo.h
         k = run.topo.k
-        self.value = int(self.magnitude) if self.magnitude else default_injection_color(run.topo.n)
+        self.value = int(self.magnitude or default_injection_color(run.topo.n))
         if self.inject_round is None:
             self.inject_round = k
         t0 = int(self.inject_round)
         self._byz = set(int(b) for b in run.byz_nodes)
-        if t0 == 1:
-            return
 
         def pick_next(cur: int, avoid: set[int]) -> int | None:
             nbrs = [x for x in h.neighbors(cur).tolist() if x not in avoid]
@@ -215,9 +175,13 @@ class _LateInjector(AdversaryStrategy):
         return TRUTHFUL
 
 
-def strategy_late_injector(inject_round: int | None = None,
-                           magnitude: int | None = None) -> AdversaryStrategy:
-    return _LateInjector(inject_round=inject_round, magnitude=magnitude)
+class _MaxInjector(_LateInjector):
+    """``late_injector`` fixed at ``inject_round=1``."""
+
+    name = "max_injector"
+
+    def __init__(self, magnitude: int | None = None):
+        super().__init__(inject_round=1, magnitude=magnitude)
 
 
 class _TopologyLiar(AdversaryStrategy):
@@ -235,8 +199,7 @@ class _TopologyLiar(AdversaryStrategy):
 
     def __init__(self, target_mode: str = "auto"):
         if target_mode not in ("auto", "broadcast"):
-            raise ValueError("target_mode must be 'auto' or 'broadcast'")
-        super().__init__(target_mode=target_mode)
+            raise ValueError(f"{self.name}: target_mode must be 'auto' or 'broadcast'")
         self.target_mode = target_mode
         self._lies: dict[int, tuple[int, int]] = {}       # liar -> (hidden, phantom)
         self._targets: dict[int, set[int]] = {}           # liar -> receivers of the lie
@@ -284,14 +247,7 @@ class _TopologyLiar(AdversaryStrategy):
         return None
 
     def lie_receivers(self):
-        out: set[int] = set()
-        for t in self._targets.values():
-            out |= t
-        return out
-
-
-def strategy_topology_liar(target_mode: str = "auto") -> AdversaryStrategy:
-    return _TopologyLiar(target_mode=target_mode)
+        return set().union(*self._targets.values())
 
 
 class CompositeStrategy(AdversaryStrategy):
@@ -300,7 +256,6 @@ class CompositeStrategy(AdversaryStrategy):
     name = "composite"
 
     def __init__(self, parts: list[AdversaryStrategy]):
-        super().__init__(parts=[p.name for p in parts])
         self.parts = list(parts)
 
     @property
@@ -323,16 +278,10 @@ class CompositeStrategy(AdversaryStrategy):
         return None
 
     def lie_receivers(self):
-        out: set[int] = set()
-        for p in self.parts:
-            out |= p.lie_receivers()
-        return out
+        return set().union(*(p.lie_receivers() for p in self.parts))
 
     def injections_for(self, node, ctx):
-        out = []
-        for p in self.parts:
-            out.extend(p.injections_for(node, ctx))
-        return out
+        return [inj for p in self.parts for inj in p.injections_for(node, ctx)]
 
     def answer_query(self, target, asker, color, phase, subphase, r):
         for p in self.parts:
@@ -342,29 +291,39 @@ class CompositeStrategy(AdversaryStrategy):
         return TRUTHFUL
 
 
-STRATEGY_NAMES = ("none", "honest_mimic", "silent", "max_injector",
-                  "late_injector", "topology_liar", "composite")
+_REGISTRY = {cls.name: cls for cls in (AdversaryStrategy, _Silent, _MaxInjector,
+                                       _LateInjector, _TopologyLiar, CompositeStrategy)}
+STRATEGY_NAMES = ("none", *_REGISTRY)
 
 
 def make_strategy(name: str, params: dict | None = None) -> AdversaryStrategy | None:
-    """Build a strategy from its registry name; ``"none"`` means no adversary."""
-    params = dict(params or {})
+    """Build a strategy from its registry name; ``"none"`` means no adversary.
+
+    The one check of strategy input: an unknown name or parameter, a value
+    out of range or malformed composite parts raise ``ValueError``.
+    """
+    if name not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {name!r}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError(f"{name}: params must be a mapping")
     if name == "none":
+        if params:
+            raise ValueError("none: takes no parameters")
         return None
-    if name == "honest_mimic":
-        return strategy_honest_mimic()
-    if name == "silent":
-        return strategy_silent()
-    if name == "max_injector":
-        return strategy_max_injector(**params)
-    if name == "late_injector":
-        return strategy_late_injector(**params)
-    if name == "topology_liar":
-        return strategy_topology_liar(**params)
-    if name == "composite":
-        parts = [make_strategy(p["name"], p.get("params")) for p in params.get("parts", [])]
+    cls = _REGISTRY[name]
+    if cls is CompositeStrategy:
+        parts = params.get("parts")
+        if not isinstance(parts, list) or not all(
+                isinstance(p, dict) and "name" in p and set(p) <= {"name", "params"}
+                for p in parts):
+            raise ValueError("composite: parts must be a list of {name, params} objects")
+        parts = [make_strategy(p["name"], p.get("params")) for p in parts]
         parts = [p for p in parts if p is not None]
         if not parts:
-            raise ValueError("composite strategy needs at least one part")
-        return CompositeStrategy(parts)
-    raise ValueError(f"unknown strategy: {name!r}")
+            raise ValueError("composite: needs at least one part other than 'none'")
+        params = dict(params, parts=parts)
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc} (given {', '.join(params)})") from None

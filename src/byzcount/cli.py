@@ -177,21 +177,23 @@ def cmd_analyze(args) -> int:
             lines = (ln for ln in fh if not ln.startswith("#"))
             for rec in csv.DictReader(lines):
                 t = int(rec["trial"])
-                agg = per_trial.setdefault(t, {
-                    "nodes": 0, "deciders": 0, "crashed": 0,
-                    "byz": 0, "estimates": []})
+                agg = per_trial.setdefault(t, {"nodes": 0, "alive": 0, "crashed": 0,
+                                               "byz": 0, "estimates": []})
+                byz, crashed = rec["class"] == "byz", rec["crashed"] == "True"
                 agg["nodes"] += 1
-                agg["byz"] += rec["class"] == "byz"
-                agg["crashed"] += rec["crashed"] == "True"
-                if rec["decided"] == "True" and rec["estimate"]:
-                    agg["deciders"] += 1
-                    agg["estimates"].append(int(rec["estimate"]))
+                agg["byz"] += byz
+                agg["crashed"] += crashed
+                # the run's own rule: honest, uncrashed nodes only
+                if not (byz or crashed):
+                    agg["alive"] += 1
+                    if rec["decided"] == "True" and rec["estimate"]:
+                        agg["estimates"].append(int(rec["estimate"]))
         for t, agg in sorted(per_trial.items()):
             ests = agg["estimates"]
             rows.append({
                 "file": os.path.basename(path), "trial": t,
                 "nodes": agg["nodes"], "byz": agg["byz"],
-                "decided_fraction": agg["deciders"] / max(1, agg["nodes"] - agg["byz"]),
+                "decided_fraction": len(ests) / agg["alive"] if agg["alive"] else 0.0,
                 "median_estimate": median(ests) if ests else "",
                 "crashed": agg["crashed"],
             })

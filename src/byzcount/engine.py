@@ -64,7 +64,7 @@ from .protocol import (
     reconstruct_local_topology,
     verify_color_provenance,
 )
-from .adversary import TRUTHFUL, make_strategy, STRATEGY_NAMES
+from .adversary import TRUTHFUL, make_strategy
 from .rng import stream
 
 __all__ = [
@@ -135,8 +135,10 @@ class ExperimentConfig:
             raise ConfigError(f"delta: need 3/d = {3.0 / self.d:.3f} < delta <= 1")
         if self.algorithm not in ("basic", "byzantine"):
             raise ConfigError("algorithm: must be 'basic' or 'byzantine'")
-        if self.strategy not in STRATEGY_NAMES:
-            raise ConfigError(f"strategy: unknown name {self.strategy!r}")
+        try:
+            make_strategy(self.strategy, self.strategy_params)
+        except ValueError as exc:
+            raise ConfigError(f"strategy: {exc}") from exc
         if self.alpha_variant not in ("pseudocode", "prose"):
             raise ConfigError("alpha_variant: must be 'pseudocode' or 'prose'")
         if self.engine not in ("fast", "reference"):
@@ -155,8 +157,6 @@ class ExperimentConfig:
         lo, hi = self.band
         if not (0.0 <= lo <= hi):
             raise ConfigError("band: need 0 <= lo <= hi")
-        if not isinstance(self.strategy_params, dict):
-            raise ConfigError("strategy_params: must be a mapping")
         return self
 
     def resolved_phase_cap(self) -> int:
@@ -578,9 +578,6 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                 if verifying:
                     _check_key_range([inj.color], n)
                 if inj.replace:
-                    if inj.targets is not None:
-                        raise NotImplementedError(
-                            "replace injections must broadcast on H-ports")
                     send_mask[b] = True
                     send_color[b] = inj.color
                     send_pred[b] = inj.pred

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from byzcount.adversary import (
+    STRATEGY_NAMES,
     TRUTHFUL,
     CompositeStrategy,
+    Injection,
     default_injection_color,
     make_strategy,
-    strategy_max_injector,
-    strategy_silent,
 )
 from byzcount.engine import ExperimentConfig, run_experiment, simulate_subphase
 from byzcount.graph import longest_byzantine_chain, place_byzantine
@@ -36,6 +36,8 @@ def test_default_injection_color_values():
 
 
 def test_make_strategy_registry():
+    assert STRATEGY_NAMES == ("none", "honest_mimic", "silent", "max_injector",
+                              "late_injector", "topology_liar", "composite")
     assert make_strategy("none") is None
     for name in ("honest_mimic", "silent", "max_injector", "late_injector",
                  "topology_liar"):
@@ -48,10 +50,19 @@ def test_make_strategy_registry():
 
 
 def test_composite_splices_part_behaviours():
-    comp = CompositeStrategy([strategy_silent(), strategy_max_injector(magnitude=9)])
+    comp = CompositeStrategy([make_strategy("silent"),
+                              make_strategy("max_injector", {"magnitude": 9})])
     assert comp.suppress_sends is True          # any part suppressing wins
     assert comp.sends_reports is False          # any part withholding wins
     assert comp.answer_query(0, 1, 9, 1, 1, 1) is not TRUTHFUL
+
+
+def test_replace_injections_take_no_targets():
+    # a replace injection rewrites the node's own broadcast, so both
+    # executors reject a targeted one at construction
+    with pytest.raises(ValueError, match="targets"):
+        Injection(color=9, pred=ORIGIN, targets=(1, 2), replace=True)
+    assert Injection(color=9, pred=ORIGIN, targets=(1, 2)).targets == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,23 @@ def test_run_unknown_strategy_is_config_error(tmp_path):
     assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("strategy,params", [
+    ("max_injector", {"magnitud": 9}),
+    ("late_injector", {"inject_round": 0}),
+    ("composite", {"parts": [{"name": "nope"}]}),
+    ("composite", {"parts": [{"params": {}}]}),
+    ("topology_liar", {"target_mode": "all"}),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_bad_strategy_params_are_config_errors(tmp_path, strategy, params, dry_run):
+    config = _write(tmp_path / "cfg.json",
+                    {"n": 64, "algorithm": "byzantine", "strategy": strategy,
+                     "strategy_params": params})
+    argv = ["run", "--config", config, "--out", str(tmp_path / "r")]
+    assert cli.main(argv + ["--dry-run"] * dry_run) == cli.EXIT_CONFIG
+    assert list(tmp_path.glob("r*")) == []
+
+
 def test_run_unknown_field_is_config_error(tmp_path):
     config = _write(tmp_path / "cfg.json", {"n": 64, "warp_drive": 1})
     assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
@@ -230,6 +247,22 @@ def test_analyze_aggregates_run_csvs(tmp_path, capsys):
         assert int(row["nodes"]) == 64
         assert 0.0 <= float(row["decided_fraction"]) <= 1.0
         assert int(row["crashed"]) >= 0
+
+
+def test_analyze_counts_what_the_run_summary_counts(tmp_path):
+    # Byzantine deciders and crashed nodes stay out of decided_fraction and
+    # median_estimate, as in the run's own summary
+    config = _write(tmp_path / "cfg.json",
+                    {"n": 256, "algorithm": "byzantine", "strategy": "honest_mimic",
+                     "delta": 0.4, "seed": 1})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "r")]) == 0
+    out = tmp_path / "analysis.csv"
+    assert cli.main(["analyze", str(tmp_path / "r.csv"), "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    (summary,) = json.loads((tmp_path / "r.summary.json").read_text())
+    assert int(row["byz"]) > 0
+    assert float(row["decided_fraction"]) == summary["decided_fraction"]
+    assert float(row["median_estimate"]) == summary["median_estimate"]
 
 
 def test_analyze_missing_input_is_io_error(tmp_path):

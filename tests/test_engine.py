@@ -60,6 +60,13 @@ def test_config_defaults_resolve():
     ({"subphase_factor": "round"}, "subphase_factor"),
     ({"band": (-1.0, 2.0)}, "band"),
     ({"band": (3.0, 2.0)}, "band"),
+    ({"strategy": "max_injector", "strategy_params": {"magnitud": 9}}, "magnitud"),
+    ({"strategy": "late_injector", "strategy_params": {"inject_round": 0}}, "inject_round"),
+    ({"strategy": "max_injector", "strategy_params": {"magnitude": 0}}, "magnitude"),
+    ({"strategy": "composite", "strategy_params": {"parts": [{"params": {}}]}}, "parts"),
+    ({"strategy": "composite",
+      "strategy_params": {"parts": {"name": "max_injector"}}}, "parts"),
+    ({"strategy": "silent", "strategy_params": {"magnitude": 9}}, "magnitude"),
 ])
 def test_config_validation_errors(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -18,6 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 from byzcount import engine
+from byzcount.adversary import CompositeStrategy
 from byzcount.graph import generate_h_graph
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +55,32 @@ def test_tracer_spans_name_engine_attributes():
                if not callable(getattr(engine, attr, None))]
     assert missing == []
     assert callable(engine.make_strategy)
+
+
+def test_tracer_counts_only_the_hooks_a_trial_calls(monkeypatch):
+    # validate() builds a throwaway strategy through engine.make_strategy,
+    # the name the tracer wraps; only the strategy a trial runs may add spans
+    tracer = _load_tracer()
+    cfg = engine.ExperimentConfig(
+        n=128, seed=1, trials=2, algorithm="byzantine", strategy="composite",
+        strategy_params={"parts": [{"name": "topology_liar"}, {"name": "late_injector"}]})
+    untraced = Counter()
+    for hook in tracer.STRATEGY_HOOKS:
+        def counted(self, *args, _real=getattr(CompositeStrategy, hook), _hook=hook):
+            untraced[_hook] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(CompositeStrategy, hook, counted)
+    plain = engine.run_trials(cfg)
+    monkeypatch.undo()
+
+    tr = tracer.Tracer()
+    with tracer.traced_layers(tr, engine):
+        traced = engine.run_trials(cfg)
+    spans = tr.summary()
+    assert spans["adversary.prepare"]["calls"] == cfg.trials
+    assert {h: spans[f"adversary.{h}"]["calls"] for h in tracer.STRATEGY_HOOKS} == untraced
+    assert all(untraced[h] > 0 for h in tracer.STRATEGY_HOOKS)
+    assert [r.transcript_hash for r in traced] == [r.transcript_hash for r in plain]
 
 
 def test_augment_result_has_the_measured_tables():
