@@ -11,14 +11,18 @@ round count without being simulated as individual messages.
 Two interchangeable executors cover every run: a vectorized fast path
 and a per-node reference loop.  Each fast-path round is one gather
 through the padded H port matrix and a max over each node's ports.  The
-basic protocol gathers colors.  The hardened protocol gathers an encoded
-key, color·2^bits + (n − sender), so the same max also gives the
-smallest sender of the top color, and keeps predecessors and forwarding
-logs.  Its Byzantine correction is narrow: only nodes that a sending
-Byzantine node, an injected extra or a lie report reaches are looked at,
-the best honest item there comes from the same key with Byzantine
-senders zeroed, and Python verifies only the Byzantine items that
-outrank it (lie receivers verify every item).  The reference loop is
+basic protocol floods every subphase of a phase at once
+(``_fast_phase``): its subphases are independent given the phase's
+active set, so each is one column of node-major (n, S) color arrays,
+uint8 while every color of the phase is below 256.  The hardened
+protocol runs one subphase at a time (``_fast_subphase``).  It gathers
+an encoded key, color·2^bits + (n − sender), so the same max also gives
+the smallest sender of the top color, and keeps predecessors and
+forwarding logs.  Its Byzantine correction is narrow: only nodes that a
+sending Byzantine node, an injected extra or a lie report reaches are
+looked at, the best honest item there comes from the same key with
+Byzantine senders zeroed, and Python verifies only the Byzantine items
+that outrank it (lie receivers verify every item).  The reference loop is
 driven entirely by ``byzantine_node_step`` (the honest transition for
 nodes without a policy) plus ``deliver_round``.  Both consume identical
 color streams and fold identical per-subphase state into the transcript
@@ -53,6 +57,7 @@ from .graph import (
 from .protocol import (
     ORIGIN,
     NodeState,
+    PhaseParams,
     RoundContext,
     Token,
     TopologyConflict,
@@ -91,6 +96,26 @@ class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
 
 
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# (fields, check, what they need): types are checked before any comparison
+_FIELD_TYPES = (
+    (("n", "d", "seed", "trials"), _integer, "an integer"),
+    (("phase_cap", "a_radius", "tree_radius"),
+     lambda x: x is None or _integer(x), "an integer or null"),
+    (("delta", "epsilon"), _number, "a number"),
+    (("algorithm", "strategy", "alpha_variant", "engine"),
+     lambda x: isinstance(x, str), "a string"),
+    (("relax_degree",), lambda x: isinstance(x, bool), "true or false"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one run needs; defaults match the protocol regime d=8.
@@ -122,9 +147,14 @@ class ExperimentConfig:
     engine: str = "fast"
 
     def validate(self) -> "ExperimentConfig":
-        if not isinstance(self.n, int) or self.n < 3:
+        for names, ok, need in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ConfigError(f"{name}: need {need}, got {value!r}")
+        if self.n < 3:
             raise ConfigError("n: need an integer >= 3")
-        if not isinstance(self.d, int) or self.d < 2 or self.d % 2:
+        if self.d < 2 or self.d % 2:
             raise ConfigError("d: need an even integer >= 2")
         if self.d < 8 and not self.relax_degree:
             raise ConfigError("d: protocol runs need d >= 8 (set relax_degree for fixtures)")
@@ -145,15 +175,14 @@ class ExperimentConfig:
             raise ConfigError("engine: must be 'fast' or 'reference'")
         if self.phase_cap is not None and self.phase_cap < 1:
             raise ConfigError("phase_cap: must be >= 1")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ConfigError("trials: need an integer >= 1")
-        if self.subphase_factor != "phase":
-            try:
-                ok = int(self.subphase_factor) >= 1
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ConfigError("subphase_factor: integer >= 1 or 'phase'")
+        sf = self.subphase_factor
+        if sf != "phase" and not (_integer(sf) and sf >= 1):
+            raise ConfigError("subphase_factor: integer >= 1 or 'phase'")
+        if not (isinstance(self.band, (list, tuple)) and len(self.band) == 2
+                and all(_number(x) for x in self.band)):
+            raise ConfigError(f"band: need [lo, hi], got {self.band!r}")
         lo, hi = self.band
         if not (0.0 <= lo <= hi):
             raise ConfigError("band: need 0 <= lo <= hi")
@@ -177,11 +206,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"config: unknown fields {', '.join(unknown)}")
         kwargs = dict(data)
-        if "band" in kwargs:
-            band = kwargs["band"]
-            if (not isinstance(band, (list, tuple)) or len(band) != 2):
-                raise ConfigError("band: need [lo, hi]")
-            kwargs["band"] = (float(band[0]), float(band[1]))
+        band = kwargs.get("band")
+        if isinstance(band, (list, tuple)) and all(_number(x) for x in band):
+            kwargs["band"] = tuple(float(x) for x in band)
         try:
             cfg = cls(**kwargs)
         except TypeError as exc:
@@ -514,24 +541,144 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
     recv_src[hot] = src
 
 
+def _delivered_extras(run: _Run, b: int, inj) -> list[int]:
+    """Count Byzantine node ``b``'s extra ``inj`` as sent; return the
+    targets it reaches (G-neighbours of ``b``), counting the rest dropped."""
+    cnt = run.counters
+    targets = inj.targets if inj.targets is not None else run.truthful_report(b)
+    hit = []
+    for dst in targets:
+        cnt.sent += 1
+        if run.topo.g_adjacent(b, int(dst)):
+            cnt.delivered += 1
+            hit.append(int(dst))
+        else:
+            cnt.dropped += 1
+    return hit
+
+
+def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = None,
+                last: bool = True) -> np.ndarray:
+    """Every subphase of basic phase i at once; returns k_rows as (i+1, n, S).
+
+    The subphases are independent given the phase's active set, so each
+    is one column of node-major (n, S) arrays and a round is one
+    ``np.take`` + max per port row for the whole phase.  ``colors``
+    (n, S) are scripted; by default column j is the draw of stream
+    (i, j + 1).  The phase's injections are collected first, in the
+    order a loop over subphases asks for them, so the state can be uint8
+    while every color of the phase lies in [0, 256) and int64 otherwise:
+    an injected color >= 256 is never clipped.  ``best`` holds a replaced
+    color clipped at 0, as sent, and equals the color last sent, so a
+    node sends exactly when its gathered top beats it.  Subphases are
+    then folded in order: ``phase_continue`` is OR-ed per subphase and,
+    if ``last``, ``decided`` is set at the last one.
+    """
+    n, S = run.n, pp.subphases
+    ports, degrees = run.topo.h.ports, run.topo.h.degrees
+    proc = ~run.crashed & ~run.suppressed
+    idle = np.flatnonzero(~proc)
+
+    # per round t: replaces (b, column, color) and extras (target, column, color)
+    replaces: dict[int, list[tuple[int, int, int]]] = {}
+    extras: dict[int, list[tuple[int, int, int]]] = {}
+    if run.strategy is not None:
+        byz = [b for b in run.byz_nodes.tolist() if not run.suppressed[b]]
+        for j in range(S):
+            for t in range(1, i + 2):
+                ctx = RoundContext(phase=i, subphase=j + 1, t=t, flood_rounds=i,
+                                   threshold=pp.threshold, last_subphase=last and j == S - 1)
+                for b in byz:
+                    for inj in run.strategy.injections_for(b, ctx):
+                        c = int(inj.color)
+                        if inj.replace:
+                            replaces.setdefault(t, []).append((b, j, c))
+                        else:
+                            extras.setdefault(t + 1, []).extend(
+                                (v, j, c) for v in _delivered_extras(run, b, inj))
+    injected = [c for lst in (*replaces.values(), *extras.values()) for (_, _, c) in lst]
+    small = all(0 <= c < 256 for c in injected)
+
+    live = proc & run.active
+    best = np.zeros((n, S), dtype=np.uint8 if small else np.int64)
+    for j in range(S):
+        c = run.colors(i, j + 1) if colors is None else colors[:, j]
+        c = np.where(live & (c >= 1), c, 0)
+        if best.dtype == np.uint8 and c.max(initial=0) >= 256:
+            best = best.astype(np.int64)
+        best[:, j] = c
+    dtype = best.dtype
+    k_rows = np.zeros((i + 1, n, S), dtype=dtype)
+    k_rows[1] = best
+    send = best > 0
+    masked = np.zeros((n + 1, S), dtype=dtype)  # row n stays 0 under the sentinel ports
+    top = np.empty((n, S), dtype=dtype)
+    tmp = np.empty((n, S), dtype=dtype)
+    cnt = run.counters
+
+    def replace(t: int) -> None:
+        for b, j, c in replaces.get(t, ()):
+            send[b, j] = True
+            best[b, j] = max(c, 0)
+            k_rows[1 if t == 1 else t - 1, b, j] = c
+
+    def emit() -> None:
+        np.multiply(best, send, out=masked[:n])
+        n_sent = int(degrees @ send.sum(axis=1))
+        cnt.sent += n_sent
+        cnt.delivered += n_sent
+
+    replace(1)
+    emit()
+    for t in range(2, i + 2):
+        np.take(masked, ports[0], axis=0, out=top)
+        for row in ports[1:]:
+            np.take(masked, row, axis=0, out=tmp)
+            np.maximum(top, tmp, out=top)
+        if t in extras:
+            v, j, c = np.array(extras[t], dtype=np.int64).T
+            np.maximum.at(top, (v, j), c.astype(dtype))
+        top[idle] = 0
+        np.maximum(k_rows[t - 1], top, out=k_rows[t - 1])
+        np.greater(top, best, out=send)
+        np.maximum(best, top, out=best)
+        replace(t)
+        if t <= i:
+            emit()
+
+    del masked, top, tmp  # before the fold's int64 copies, for peak RSS
+    elig = run.active & proc
+    for j in range(S):
+        k_j = k_rows[:, :, j].astype(np.int64)
+        prev = k_j[1:i].max(axis=0) if i >= 2 else 0
+        run.phase_continue |= elig & (k_j[i] > prev) & (k_j[i] > pp.threshold)
+        if last and j == S - 1:
+            dec = elig & ~run.phase_continue
+            run.decided[dec] = i
+            run.active[dec] = False
+            run.phase_continue[:] = False
+        run.fold(i, j + 1, k_j)
+    return k_rows
+
+
 def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                    colors: np.ndarray, threshold: float) -> np.ndarray:
-    """One subphase of phase i on the vectorized path; returns k_rows.
+    """One subphase of hardened phase i on the vectorized path; returns k_rows.
 
-    Each round gathers one value per sender through the H port matrix and
-    takes the per-node max.  The basic protocol gathers colors.  The
-    hardened protocol gathers the key color·2^bits + (n − sender), with
-    2^bits > n, whose max also names the smallest sender of the top color
-    (0 stands for no sender, a color below 1 and the sentinel); it keeps
-    predecessors and forwarding logs, and ``_correct_round`` verifies the
-    Byzantine items at the nodes they reach.  As in ``honest_node_step``,
-    a round-1 color below 1 (only scripts give one) originates nothing.
+    Only the hardened protocol runs here; the basic one floods a whole
+    phase at once in ``_fast_phase``.  Each round gathers the key
+    color·2^bits + (n − sender), with 2^bits > n, through the H port
+    matrix and takes the per-node max, which also names the smallest
+    sender of the top color (0 stands for no sender, a color below 1 and
+    the sentinel).  Predecessors and forwarding logs are kept, and
+    ``_correct_round`` verifies the Byzantine items at the nodes they
+    reach.  As in ``honest_node_step``, a round-1 color below 1 (only
+    scripts give one) originates nothing.
     """
     n = run.n
     cnt = run.counters
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
     crashed, supp = run.crashed, run.suppressed
-    verifying = run.cfg.algorithm == "byzantine"
     proc = ~crashed & ~supp
 
     origin = proc & run.active & (colors >= 1)
@@ -547,11 +694,10 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     # masked[u]: the color u sends clipped at 0, 0 if it sends nothing;
     # masked[n] stays 0 under the sentinel ports
     masked = np.zeros(n + 1, dtype=np.int64)
-    # verifying: key[u] = masked[u]·2^bits + (n − u) where masked[u] ≥ 1, else 0;
+    # key[u] = masked[u]·2^bits + (n − u) where masked[u] ≥ 1, else 0;
     # as 2^bits > n, key >> bits is the color and n − (key & (2^bits − 1)) u
     bits, rank = n.bit_length(), np.arange(n, -1, -1)
-    if verifying:
-        _check_key_range(colors, n)
+    _check_key_range(colors, n)
     log: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     extras_next: list[tuple[int, int, int, int]] = []
 
@@ -575,8 +721,7 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
             if supp[b]:
                 continue
             for inj in run.strategy.injections_for(b, ctx):
-                if verifying:
-                    _check_key_range([inj.color], n)
+                _check_key_range([inj.color], n)
                 if inj.replace:
                     send_mask[b] = True
                     send_color[b] = inj.color
@@ -586,21 +731,13 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
                     last_sent[b] = inj.color
                     k_rows[1 if t == 1 else t - 1, b] = inj.color
                 else:
-                    targets = (inj.targets if inj.targets is not None
-                               else run.truthful_report(b))
-                    for dst in targets:
-                        cnt.sent += 1
-                        if run.topo.g_adjacent(b, int(dst)):
-                            cnt.delivered += 1
-                            extras_next.append((b, int(dst), int(inj.color), int(inj.pred)))
-                        else:
-                            cnt.dropped += 1
+                    extras_next.extend((b, dst, int(inj.color), int(inj.pred))
+                                       for dst in _delivered_extras(run, b, inj))
 
     apply_injections(1)
     # the send arrays are rebound each round, never written once logged; only
     # the final round's apply_injections writes them, after the last verify
-    if verifying:
-        log[1] = (send_mask, send_color, send_pred)
+    log[1] = (send_mask, send_color, send_pred)
     n_sent = int(degrees[send_mask].sum())
     cnt.sent += n_sent
     cnt.delivered += n_sent
@@ -609,35 +746,30 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
         extras, extras_next = extras_next, []
         np.multiply(send_color, send_mask, out=masked[:n])
         np.maximum(masked, 0, out=masked)
-        gat = np.where(masked > 0, (masked << bits) + rank, 0) if verifying else masked
+        gat = np.where(masked > 0, (masked << bits) + rank, 0)
         top = gat[ports].max(axis=0)
-        if verifying:
-            recv_src = n - (top & ((1 << bits) - 1))
-            top >>= bits
+        recv_src = n - (top & ((1 << bits) - 1))
+        top >>= bits
         for (_, dv, c, _) in extras:
             if c > top[dv]:
                 top[dv] = c
         recv_col = np.where(proc, top, 0)
-        if verifying:
-            _correct_round(run, t - 1, gat, recv_col, recv_src,
-                           (send_mask, send_color, send_pred), extras, verify)
+        _correct_round(run, t - 1, gat, recv_col, recv_src,
+                       (send_mask, send_color, send_pred), extras, verify)
 
         got = proc & (recv_col >= 1)
         np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
         gain = got & (recv_col > best)
         np.copyto(best, recv_col, where=gain)
-        if verifying:
-            np.copyto(best_src, recv_src, where=gain)
+        np.copyto(best_src, recv_src, where=gain)
 
         if t <= i:
             send_mask = proc & (best > last_sent)
             send_color = best.copy()
             np.copyto(last_sent, best, where=send_mask)
-            if verifying:
-                send_pred = best_src.copy()
+            send_pred = best_src.copy()
             apply_injections(t)
-            if verifying:
-                log[t] = (send_mask, send_color, send_pred)
+            log[t] = (send_mask, send_color, send_pred)
             n_sent = int(degrees[send_mask].sum())
             cnt.sent += n_sent
             cnt.delivered += n_sent
@@ -873,9 +1005,11 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
                           cfg.subphase_factor)
         before = (run.counters.sent, run.counters.queries)
         decided_before = int((run.decided > 0).sum())
-        for j in range(1, pp.subphases + 1):
-            colors = run.colors(i, j)
-            subphase(run, i, j, j == pp.subphases, colors, pp.threshold)
+        if not reference and cfg.algorithm == "basic":
+            _fast_phase(run, i, pp)
+        else:
+            for j in range(1, pp.subphases + 1):
+                subphase(run, i, j, j == pp.subphases, run.colors(i, j), pp.threshold)
         phase_rounds = pp.subphases * (i + i * overhead)
         run.rounds_total += phase_rounds
         run.per_phase.append({
@@ -934,9 +1068,10 @@ def simulate_subphase(topo: Topology, phase: int, *,
                       relax_degree: bool = False) -> SubphaseTrace:
     """Run exactly one subphase of the given phase on a fixed topology.
 
-    Colors may be scripted; Byzantine placement may be pinned.  Setup
-    (and its crash semantics) runs first when the hardened algorithm is
-    selected.
+    Colors may be scripted, as integers; Byzantine placement may be
+    pinned.  Setup (and its crash semantics) runs first when the hardened
+    algorithm is selected; the basic one runs the phase kernel on a phase
+    of one subphase.
     """
     cfg = ExperimentConfig(
         n=topo.h.n, d=topo.h.d, seed=seed, algorithm=algorithm,
@@ -948,12 +1083,21 @@ def simulate_subphase(topo: Topology, phase: int, *,
     run.run_setup(full=False)
     if colors is None:
         colors = run.colors(phase, 1)
-    colors = np.asarray(colors, dtype=np.int64)
+    colors = np.asarray(colors)
+    # whole floats are accepted; anything else non-integral, NaN and inf are not
+    if not (colors.dtype.kind in "iub" or colors.dtype.kind == "f"
+            and (colors == np.trunc(colors)).all() and (np.abs(colors) < 2.0**63).all()):
+        raise ValueError("colors must be integers")
+    colors = colors.astype(np.int64)
     if colors.shape != (run.n,):
         raise ValueError("colors must have one entry per node")
     thr = threshold if threshold is not None else continuation_threshold(phase, run.d)
     cont_before = run.phase_continue.copy()
-    k_rows = _fast_subphase(run, phase, 1, False, colors, thr)
+    if algorithm == "basic":
+        pp = PhaseParams(phase=phase, alpha=1, subphases=1, threshold=thr)
+        k_rows = _fast_phase(run, phase, pp, colors[:, None], last=False)[:, :, 0].astype(np.int64)
+    else:
+        k_rows = _fast_subphase(run, phase, 1, False, colors, thr)
     return SubphaseTrace(
         phase=phase,
         k_rows=k_rows,

@@ -107,6 +107,16 @@ def test_bad_strategy_params_are_config_errors(tmp_path, strategy, params, dry_r
     assert list(tmp_path.glob("r*")) == []
 
 
+@pytest.mark.parametrize("fields", [
+    {"epsilon": "x"}, {"delta": "0.5"}, {"phase_cap": "3"}, {"seed": "a"},
+    {"band": ["lo", 4]},
+])
+def test_mistyped_scalar_fields_exit_three(tmp_path, fields, capsys):
+    config = _write(tmp_path / "cfg.json", {"n": 64, **fields})
+    assert cli.main(["run", "--config", config, "--dry-run"]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_unknown_field_is_config_error(tmp_path):
     config = _write(tmp_path / "cfg.json", {"n": 64, "warp_drive": 1})
     assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG

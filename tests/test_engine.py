@@ -67,6 +67,14 @@ def test_config_defaults_resolve():
     ({"strategy": "composite",
       "strategy_params": {"parts": {"name": "max_injector"}}}, "parts"),
     ({"strategy": "silent", "strategy_params": {"magnitude": 9}}, "magnitude"),
+    ({"epsilon": "x"}, "epsilon: need a number"),
+    ({"delta": "0.5"}, "delta: need a number"),
+    ({"phase_cap": "3"}, "phase_cap: need an integer"),
+    ({"n": 64, "seed": "a"}, "seed: need an integer"),
+    ({"trials": True}, "trials: need an integer"),
+    ({"relax_degree": "yes"}, "relax_degree"),
+    ({"subphase_factor": 2.5}, "subphase_factor"),
+    ({"band": ("0", 4.0)}, "band"),
 ])
 def test_config_validation_errors(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -396,32 +404,120 @@ def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):
     assert {(t.color, t.pred) for t in seen if t.hop == 2} == {(5, 1)}
 
 
-def test_scripted_colors_below_one_originate_nothing():
-    # honest_node_step sends no round-1 token for a color below 1, so the
-    # fast path counts none either: 14 flood messages on the 6-cycle
-    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
-    topo = augment_small_world(h, k=1)
-    colors, phase = [-1, 3, 0, 1, 1, 2], 2
-    trace = simulate_subphase(topo, phase, colors=colors, threshold=0.0,
-                              relax_degree=True)
-
-    states = [NodeState(node=v, ports=tuple(h.neighbors(v).tolist())) for v in range(6)]
+def _honest_subphase(topo, phase, colors):
+    """One honest subphase driven node by node through ``honest_node_step``:
+    (flood messages sent, [k_1 row, ..., k_phase row])."""
+    h = topo.h
+    states = [NodeState(node=v, ports=tuple(h.neighbors(v).tolist())) for v in range(h.n)]
     counters = engine._Counters()
     inboxes = {}
     for t in range(1, phase + 2):
         outboxes = {}
-        for v in range(6):
+        for v in range(h.n):
             ctx = RoundContext(phase=phase, subphase=1, t=t, flood_rounds=phase,
                                threshold=0.0, own_color=colors[v] if t == 1 else None)
             states[v], out = honest_node_step(states[v], inboxes.get(v, ()), ctx)
             if out:
                 outboxes[v] = out
         inboxes = deliver_round(outboxes, topo, counters)
+    rows = [[st.k_values.get(r, 0) for st in states] for r in range(1, phase + 1)]
+    return counters.sent, rows
+
+
+def test_scripted_colors_below_one_originate_nothing():
+    # honest_node_step sends no round-1 token for a color below 1, so the
+    # fast path counts none either: 14 flood messages on the 6-cycle
+    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
+    topo = augment_small_world(h, k=1)
+    colors, phase = [-1, 3, 0, 1, 1, 2], 2
     setup_reports = int(topo.l_ptr[-1])
-    assert (counters.sent, setup_reports) == (14, 12)
-    assert trace.messages_sent == counters.sent + setup_reports
-    ref_rows = [[st.k_values.get(r, 0) for st in states] for r in range(1, phase + 1)]
+    sent, ref_rows = _honest_subphase(topo, phase, colors)
+    assert (sent, setup_reports) == (14, 12)
+    for algorithm in ("basic", "byzantine"):
+        trace = simulate_subphase(topo, phase, colors=colors, threshold=0.0,
+                                  algorithm=algorithm, relax_degree=True)
+        assert trace.messages_sent == sent + setup_reports
+        assert trace.k_rows[1:].tolist() == ref_rows
+
+
+def test_scripted_colors_must_be_integers():
+    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
+    topo = augment_small_world(h, k=1)
+    for bad in ([1.9, 3.7, 0.5, 1, 1, 2], [1, 2, float("nan"), 1, 1, 1],
+                [1, 2, float("inf"), 1, 1, 1], ["1", "2", "3", "1", "1", "1"]):
+        with pytest.raises(ValueError, match="integers"):
+            simulate_subphase(topo, 2, colors=bad, algorithm="basic", relax_degree=True)
+    whole = simulate_subphase(topo, 2, colors=[1.0, 3.0, 0.0, 1.0, 1.0, 2.0],
+                              algorithm="basic", relax_degree=True)
+    ints = simulate_subphase(topo, 2, colors=[1, 3, 0, 1, 1, 2],
+                             algorithm="basic", relax_degree=True)
+    np.testing.assert_array_equal(whole.k_rows, ints.k_rows)
+
+
+# ---------------------------------------------------------------------------
+# the basic phase kernel: state dtype and per-subphase columns
+# ---------------------------------------------------------------------------
+
+def _phase_dtypes(monkeypatch):
+    """Spy on ``_fast_phase``: the dtype of every phase's state, in order."""
+    seen = []
+    real = engine._fast_phase
+
+    def spy(*args, **kwargs):
+        k_rows = real(*args, **kwargs)
+        seen.append(k_rows.dtype)
+        return k_rows
+
+    monkeypatch.setattr(engine, "_fast_phase", spy)
+    return seen
+
+
+def test_basic_phases_with_small_colors_run_in_uint8(monkeypatch):
+    seen = _phase_dtypes(monkeypatch)
+    _assert_executors_agree(n=96, seed=5, algorithm="basic", strategy="max_injector")
+    assert seen and set(seen) == {np.dtype(np.uint8)}
+
+
+def test_an_injected_color_of_300_widens_the_basic_state(monkeypatch):
+    # max_injector replaces its round-1 color with 300 in every subphase
+    seen = _phase_dtypes(monkeypatch)
+    records = _assert_executors_agree(n=96, seed=5, algorithm="basic",
+                                      strategy="max_injector",
+                                      strategy_params={"magnitude": 300})
+    assert seen and set(seen) == {np.dtype(np.int64)}
+    assert max(int(k.max()) for _, _, k, _ in records["fast"]) == 300
+
+
+def test_a_scripted_color_of_256_widens_the_basic_state(monkeypatch):
+    seen = _phase_dtypes(monkeypatch)
+    h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
+    topo = augment_small_world(h, k=1)
+    colors, phase = [1, 256, 255, 0, 3, 1], 2
+    trace = simulate_subphase(topo, phase, colors=colors, threshold=0.0,
+                              algorithm="basic", relax_degree=True)
+    sent, ref_rows = _honest_subphase(topo, phase, colors)
+    assert seen == [np.dtype(np.int64)]
     assert trace.k_rows[1:].tolist() == ref_rows
+    assert trace.k_rows.max() == 256
+    assert trace.messages_sent == sent + int(topo.l_ptr[-1])
+
+
+def test_basic_executors_agree_on_multi_subphase_phases_with_extras(monkeypatch):
+    # late_injector sends its extras at round k >= 2, not replace injections,
+    # so a column mix-up in the phase kernel shows as a (phase, subphase)
+    delivered = []
+    real = engine._delivered_extras
+
+    def spy(run, b, inj):
+        hit = real(run, b, inj)
+        delivered.extend(hit)
+        return hit
+
+    monkeypatch.setattr(engine, "_delivered_extras", spy)
+    records = _assert_executors_agree(n=128, seed=2, algorithm="basic",
+                                      strategy="late_injector")
+    assert delivered
+    assert any(subphase > 1 for _, subphase, _, _ in records["fast"])
 
 
 # ---------------------------------------------------------------------------
