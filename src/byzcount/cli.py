@@ -22,6 +22,7 @@ from .engine import (
     run_trials,
     write_summary_json,
     write_trial_csv,
+    _integer,
 )
 from .graph import augment_small_world, generate_h_graph, save_topology
 from .rng import stream
@@ -86,6 +87,14 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _sweep_integer(value, name: str, least: int | None = 1) -> int:
+    """A sweep-level field, checked by the engine's integer rule."""
+    if not _integer(value) or least is not None and value < least:
+        need = "an integer" if least is None else f"an integer >= {least}"
+        raise ConfigError(f"{name}: need {need}, got {value!r}")
+    return value
+
+
 def _sweep_cells(spec: dict) -> list[dict]:
     lists = {}
     for name in _SWEEP_LIST_FIELDS:
@@ -110,12 +119,14 @@ def cmd_sweep(args) -> int:
     unknown = sorted(set(spec) - set(_SWEEP_FIELDS))
     if unknown:
         raise ConfigError(f"sweep: unknown fields {', '.join(unknown)}")
+    cap = _sweep_integer(spec.get("cell_cap", 256), "cell_cap")
+    root_seed = _sweep_integer(args.seed if args.seed is not None else spec.get("seed", 0),
+                               "seed", least=None)
+    trials = _sweep_integer(args.trials if args.trials is not None else spec.get("trials", 1),
+                            "trials")
     cells = _sweep_cells(spec)
-    cap = int(spec.get("cell_cap", 256))
     if len(cells) > cap:
         raise ConfigError(f"sweep: {len(cells)} cells exceed the cap {cap}")
-    root_seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    trials = args.trials if args.trials is not None else int(spec.get("trials", 1))
     out = args.out or spec.get("out") or os.path.join(_outdir(), "sweep")
 
     fixed = {name: spec[name] for name in _SWEEP_SCALAR_FIELDS if name in spec}

@@ -22,7 +22,10 @@ forwarding logs.  Its Byzantine correction is narrow: only nodes that a
 sending Byzantine node, an injected extra or a lie report reaches are
 looked at, the best honest item there comes from the same key with
 Byzantine senders zeroed, and Python verifies only the Byzantine items
-that outrank it (lie receivers verify every item).  The reference loop is
+that outrank it (lie receivers verify every item).  The two kernels share
+one copy of each rule: ``_injections`` asks the adversary, ``_count_sends``
+counts flood messages, and ``_close_subphase`` applies the continuation
+test, the decision and the fold.  The reference loop is
 driven entirely by ``byzantine_node_step`` (the honest transition for
 nodes without a policy) plus ``deliver_round``.  Both consume identical
 color streams and fold identical per-subphase state into the transcript
@@ -395,10 +398,7 @@ class _Run:
         memo would save little time and hold its tables in peak RSS.
         """
         cfg = self.cfg
-        report_senders = ~self.suppressed
-        n_reports = int(np.diff(self.topo.l_ptr)[report_senders].sum())
-        self.counters.sent += n_reports
-        self.counters.delivered += n_reports
+        _count_sends(self, int(np.diff(self.topo.l_ptr)[~self.suppressed].sum()))
         self.rounds_setup = 1
         if cfg.algorithm != "byzantine":
             return
@@ -426,7 +426,8 @@ class _Run:
             else:
                 self.views[v] = res
         self.lie_rx_set = {v for v in self.lie_rx_set if not self.crashed[v]}
-        self.hasher.update(b"setup" + self.crashed.tobytes())
+        self.hasher.update(b"setup")
+        self.hasher.update(self.crashed)
 
     # -- verification ----------------------------------------------------
 
@@ -459,8 +460,8 @@ class _Run:
 
     def fold(self, phase: int, subphase: int, k_rows: np.ndarray) -> None:
         self.hasher.update(struct.pack("<qq", phase, subphase))
-        self.hasher.update(np.ascontiguousarray(k_rows[1:]).tobytes())
-        self.hasher.update(self.decided.tobytes())
+        self.hasher.update(np.ascontiguousarray(k_rows[1:]))
+        self.hasher.update(self.decided)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +542,24 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
     recv_src[hot] = src
 
 
+def _injections(run: _Run, ctx: RoundContext):
+    """Yield (b, inj) for every injection of every non-suppressed Byzantine
+    node b in round ``ctx``, in node order: the fast path's one call site
+    of ``injections_for``."""
+    if run.strategy is None:
+        return
+    for b in run.byz_nodes.tolist():
+        if not run.suppressed[b]:
+            for inj in run.strategy.injections_for(b, ctx):
+                yield b, inj
+
+
+def _count_sends(run: _Run, n_sent: int) -> None:
+    """Count ``n_sent`` messages sent along real edges, so all delivered."""
+    run.counters.sent += n_sent
+    run.counters.delivered += n_sent
+
+
 def _delivered_extras(run: _Run, b: int, inj) -> list[int]:
     """Count Byzantine node ``b``'s extra ``inj`` as sent; return the
     targets it reaches (G-neighbours of ``b``), counting the rest dropped."""
@@ -557,6 +576,22 @@ def _delivered_extras(run: _Run, b: int, inj) -> list[int]:
     return hit
 
 
+def _close_subphase(run: _Run, i: int, j: int, last: bool, k_rows: np.ndarray,
+                    threshold: float) -> None:
+    """End subphase (i, j) from its int64 (i+1, n) ``k_rows``: OR the
+    continuation test into ``phase_continue``, decide at the ``last``
+    subphase of the phase, then fold."""
+    elig = run.active & ~run.crashed & ~run.suppressed
+    prev = k_rows[1:i].max(axis=0) if i >= 2 else 0
+    run.phase_continue |= elig & (k_rows[i] > prev) & (k_rows[i] > threshold)
+    if last:
+        dec = elig & ~run.phase_continue
+        run.decided[dec] = i
+        run.active[dec] = False
+        run.phase_continue[:] = False
+    run.fold(i, j, k_rows)
+
+
 def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = None,
                 last: bool = True) -> np.ndarray:
     """Every subphase of basic phase i at once; returns k_rows as (i+1, n, S).
@@ -571,8 +606,7 @@ def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = 
     an injected color >= 256 is never clipped.  ``best`` holds a replaced
     color clipped at 0, as sent, and equals the color last sent, so a
     node sends exactly when its gathered top beats it.  Subphases are
-    then folded in order: ``phase_continue`` is OR-ed per subphase and,
-    if ``last``, ``decided`` is set at the last one.
+    then closed in order, the last one deciding if ``last``.
     """
     n, S = run.n, pp.subphases
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
@@ -583,19 +617,17 @@ def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = 
     replaces: dict[int, list[tuple[int, int, int]]] = {}
     extras: dict[int, list[tuple[int, int, int]]] = {}
     if run.strategy is not None:
-        byz = [b for b in run.byz_nodes.tolist() if not run.suppressed[b]]
         for j in range(S):
             for t in range(1, i + 2):
                 ctx = RoundContext(phase=i, subphase=j + 1, t=t, flood_rounds=i,
                                    threshold=pp.threshold, last_subphase=last and j == S - 1)
-                for b in byz:
-                    for inj in run.strategy.injections_for(b, ctx):
-                        c = int(inj.color)
-                        if inj.replace:
-                            replaces.setdefault(t, []).append((b, j, c))
-                        else:
-                            extras.setdefault(t + 1, []).extend(
-                                (v, j, c) for v in _delivered_extras(run, b, inj))
+                for b, inj in _injections(run, ctx):
+                    c = int(inj.color)
+                    if inj.replace:
+                        replaces.setdefault(t, []).append((b, j, c))
+                    else:
+                        extras.setdefault(t + 1, []).extend(
+                            (v, j, c) for v in _delivered_extras(run, b, inj))
     injected = [c for lst in (*replaces.values(), *extras.values()) for (_, _, c) in lst]
     small = all(0 <= c < 256 for c in injected)
 
@@ -614,50 +646,32 @@ def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = 
     masked = np.zeros((n + 1, S), dtype=dtype)  # row n stays 0 under the sentinel ports
     top = np.empty((n, S), dtype=dtype)
     tmp = np.empty((n, S), dtype=dtype)
-    cnt = run.counters
 
-    def replace(t: int) -> None:
+    for t in range(1, i + 2):
+        if t > 1:
+            np.take(masked, ports[0], axis=0, out=top)
+            for row in ports[1:]:
+                np.take(masked, row, axis=0, out=tmp)
+                np.maximum(top, tmp, out=top)
+            if t in extras:
+                v, j, c = np.array(extras[t], dtype=np.int64).T
+                np.maximum.at(top, (v, j), c.astype(dtype))
+            top[idle] = 0
+            np.maximum(k_rows[t - 1], top, out=k_rows[t - 1])
+            np.greater(top, best, out=send)
+            np.maximum(best, top, out=best)
         for b, j, c in replaces.get(t, ()):
             send[b, j] = True
             best[b, j] = max(c, 0)
             k_rows[1 if t == 1 else t - 1, b, j] = c
-
-    def emit() -> None:
-        np.multiply(best, send, out=masked[:n])
-        n_sent = int(degrees @ send.sum(axis=1))
-        cnt.sent += n_sent
-        cnt.delivered += n_sent
-
-    replace(1)
-    emit()
-    for t in range(2, i + 2):
-        np.take(masked, ports[0], axis=0, out=top)
-        for row in ports[1:]:
-            np.take(masked, row, axis=0, out=tmp)
-            np.maximum(top, tmp, out=top)
-        if t in extras:
-            v, j, c = np.array(extras[t], dtype=np.int64).T
-            np.maximum.at(top, (v, j), c.astype(dtype))
-        top[idle] = 0
-        np.maximum(k_rows[t - 1], top, out=k_rows[t - 1])
-        np.greater(top, best, out=send)
-        np.maximum(best, top, out=best)
-        replace(t)
         if t <= i:
-            emit()
+            np.multiply(best, send, out=masked[:n])
+            _count_sends(run, int(degrees @ send.sum(axis=1)))
 
-    del masked, top, tmp  # before the fold's int64 copies, for peak RSS
-    elig = run.active & proc
+    del masked, top, tmp  # before the closes' int64 copies, for peak RSS
     for j in range(S):
-        k_j = k_rows[:, :, j].astype(np.int64)
-        prev = k_j[1:i].max(axis=0) if i >= 2 else 0
-        run.phase_continue |= elig & (k_j[i] > prev) & (k_j[i] > pp.threshold)
-        if last and j == S - 1:
-            dec = elig & ~run.phase_continue
-            run.decided[dec] = i
-            run.active[dec] = False
-            run.phase_continue[:] = False
-        run.fold(i, j + 1, k_j)
+        _close_subphase(run, i, j + 1, last and j == S - 1,
+                        k_rows[:, :, j].astype(np.int64), pp.threshold)
     return k_rows
 
 
@@ -672,34 +686,31 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     sender of the top color (0 stands for no sender, a color below 1 and
     the sentinel).  Predecessors and forwarding logs are kept, and
     ``_correct_round`` verifies the Byzantine items at the nodes they
-    reach.  As in ``honest_node_step``, a round-1 color below 1 (only
-    scripts give one) originates nothing.
+    reach, which include every processing target of an extra.  As in
+    ``honest_node_step``, a round-1 color below 1 (only scripts give one)
+    originates nothing.  ``best`` is also the color last sent, so a node
+    sends exactly when it gains.
     """
     n = run.n
-    cnt = run.counters
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
-    crashed, supp = run.crashed, run.suppressed
-    proc = ~crashed & ~supp
+    proc = ~run.crashed & ~run.suppressed
+    _check_key_range(colors, n)
 
-    origin = proc & run.active & (colors >= 1)
-    best = np.where(origin, colors, 0).astype(np.int64)
+    send = proc & run.active & (colors >= 1)
+    best = np.where(send, colors, 0).astype(np.int64)
     best_src = np.full(n, ORIGIN, dtype=np.int64)
-    last_sent = best.copy()
     k_rows = np.zeros((i + 1, n), dtype=np.int64)
     k_rows[1] = best
-
-    send_mask = origin.copy()
-    send_color = best.copy()
-    send_pred = np.full(n, ORIGIN, dtype=np.int64)
     # masked[u]: the color u sends clipped at 0, 0 if it sends nothing;
     # masked[n] stays 0 under the sentinel ports
     masked = np.zeros(n + 1, dtype=np.int64)
     # key[u] = masked[u]·2^bits + (n − u) where masked[u] ≥ 1, else 0;
     # as 2^bits > n, key >> bits is the color and n − (key & (2^bits − 1)) u
     bits, rank = n.bit_length(), np.arange(n, -1, -1)
-    _check_key_range(colors, n)
+    # per round: (send mask, color, pred) as sent, logged after the
+    # round's replaces and never written again
     log: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    extras_next: list[tuple[int, int, int, int]] = []
+    extras: list[tuple[int, int, int, int]] = []
 
     def get_log(target: int, r: int):
         ent = log.get(r)
@@ -711,81 +722,38 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
         tok = Token(color=c, phase=i, subphase=j, hop=t - 1, src=s, pred=p)  # round t
         return run.verify_token(v, tok, i, j, get_log)
 
-    def apply_injections(t: int) -> None:
-        if run.strategy is None or run.byz_nodes.size == 0:
-            return
+    for t in range(1, i + 2):
+        if t > 1:
+            sent = log[t - 1]
+            np.multiply(sent[1], sent[0], out=masked[:n])
+            np.maximum(masked, 0, out=masked)
+            gat = np.where(masked > 0, (masked << bits) + rank, 0)
+            top = gat[ports].max(axis=0)
+            recv_src = n - (top & ((1 << bits) - 1))
+            top >>= bits
+            recv_col = np.where(proc, top, 0)
+            _correct_round(run, t - 1, gat, recv_col, recv_src, sent, extras, verify)
+            got = proc & (recv_col >= 1)
+            np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
+            send = got & (recv_col > best)
+            np.copyto(best, recv_col, where=send)
+            np.copyto(best_src, recv_src, where=send)
         ctx = RoundContext(phase=i, subphase=j, t=t, flood_rounds=i,
                            threshold=threshold, last_subphase=last)
-        for b in run.byz_nodes:
-            b = int(b)
-            if supp[b]:
-                continue
-            for inj in run.strategy.injections_for(b, ctx):
-                _check_key_range([inj.color], n)
-                if inj.replace:
-                    send_mask[b] = True
-                    send_color[b] = inj.color
-                    send_pred[b] = inj.pred
-                    best[b] = inj.color
-                    best_src[b] = inj.pred
-                    last_sent[b] = inj.color
-                    k_rows[1 if t == 1 else t - 1, b] = inj.color
-                else:
-                    extras_next.extend((b, dst, int(inj.color), int(inj.pred))
-                                       for dst in _delivered_extras(run, b, inj))
-
-    apply_injections(1)
-    # the send arrays are rebound each round, never written once logged; only
-    # the final round's apply_injections writes them, after the last verify
-    log[1] = (send_mask, send_color, send_pred)
-    n_sent = int(degrees[send_mask].sum())
-    cnt.sent += n_sent
-    cnt.delivered += n_sent
-
-    for t in range(2, i + 2):
-        extras, extras_next = extras_next, []
-        np.multiply(send_color, send_mask, out=masked[:n])
-        np.maximum(masked, 0, out=masked)
-        gat = np.where(masked > 0, (masked << bits) + rank, 0)
-        top = gat[ports].max(axis=0)
-        recv_src = n - (top & ((1 << bits) - 1))
-        top >>= bits
-        for (_, dv, c, _) in extras:
-            if c > top[dv]:
-                top[dv] = c
-        recv_col = np.where(proc, top, 0)
-        _correct_round(run, t - 1, gat, recv_col, recv_src,
-                       (send_mask, send_color, send_pred), extras, verify)
-
-        got = proc & (recv_col >= 1)
-        np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
-        gain = got & (recv_col > best)
-        np.copyto(best, recv_col, where=gain)
-        np.copyto(best_src, recv_src, where=gain)
-
+        extras = []
+        for b, inj in _injections(run, ctx):  # round i+1's extras are counted, then dropped
+            _check_key_range([inj.color], n)
+            if inj.replace:
+                send[b], best[b], best_src[b] = True, inj.color, inj.pred
+                k_rows[1 if t == 1 else t - 1, b] = inj.color
+            else:
+                extras.extend((b, dst, int(inj.color), int(inj.pred))
+                              for dst in _delivered_extras(run, b, inj))
         if t <= i:
-            send_mask = proc & (best > last_sent)
-            send_color = best.copy()
-            np.copyto(last_sent, best, where=send_mask)
-            send_pred = best_src.copy()
-            apply_injections(t)
-            log[t] = (send_mask, send_color, send_pred)
-            n_sent = int(degrees[send_mask].sum())
-            cnt.sent += n_sent
-            cnt.delivered += n_sent
-        else:
-            apply_injections(t)  # byz may still emit; delivered then discarded
+            log[t] = (send, best.copy(), best_src.copy())
+            _count_sends(run, int(degrees[send].sum()))
 
-    elig = run.active & proc
-    prev = k_rows[1:i].max(axis=0) if i >= 2 else np.zeros(n, dtype=np.int64)
-    cont = elig & (k_rows[i] > prev) & (k_rows[i] > threshold)
-    run.phase_continue |= cont
-    if last:
-        dec = elig & ~run.phase_continue
-        run.decided[dec] = i
-        run.active[dec] = False
-        run.phase_continue[:] = False
-    run.fold(i, j, k_rows)
+    _close_subphase(run, i, j, last, k_rows, threshold)
     return k_rows
 
 

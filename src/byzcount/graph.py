@@ -134,10 +134,6 @@ class HMultigraph:
         """Neighbors of v with multiplicity (one entry per incident edge), sorted."""
         return self.ports[:self.degrees[v], v]
 
-    def simple_neighbors(self, v: int) -> np.ndarray:
-        """Distinct neighbors of v, sorted."""
-        return np.unique(self.neighbors(v))
-
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
@@ -217,9 +213,6 @@ class Topology:
             row = self._row_sets[u] = frozenset(self.l_neighbors(u).tolist())
         return v in row
 
-    def g_degree(self, v: int) -> int:
-        return int(self.l_ptr[v + 1] - self.l_ptr[v])
-
 
 @dataclass
 class NodeClassification:
@@ -237,20 +230,12 @@ class NodeClassification:
     tree_radius: int
 
     @property
-    def honest(self) -> np.ndarray:
-        return ~self.byz
-
-    @property
     def nlt(self) -> np.ndarray:
         return ~self.ltl
 
     @property
     def bad(self) -> np.ndarray:
         return self.byz | self.nlt
-
-    @property
-    def unsafe(self) -> np.ndarray:
-        return self.bus & ~self.bad
 
     @property
     def byz_safe(self) -> np.ndarray:
@@ -537,8 +522,7 @@ def classify_nodes(
     Returns
     -------
     NodeClassification
-        Masks byz / ltl / bus plus the derived views (honest, nlt, bad,
-        unsafe, byz_safe).
+        Masks byz / ltl / bus plus the derived views nlt, bad and byz_safe.
     """
     h, n, k = topo.h, topo.n, topo.k
     byz = np.asarray(byz)

@@ -358,14 +358,8 @@ class LocalView:
         self.tables = tables
         self.members = tables.keys()
 
-    def __contains__(self, node: int) -> bool:
-        return node in self.members
-
     def h_adjacent(self, a: int, b: int) -> bool:
         return b in self.tables.get(a, ()) and b in self.members
-
-    def h_neighbors(self, a: int) -> set[int]:
-        return self.members & self.tables.get(a, {}).keys()
 
 
 def claim_table(ports: Iterable[int]) -> dict[int, int]:

@@ -101,7 +101,7 @@ def test_max_injector_first_hop_survives_hardened_verification(topo1024):
     tr = simulate_subphase(topo1024, 3, byz=byz, strategy="max_injector",
                            strategy_params={"magnitude": 91},
                            algorithm="byzantine", seed=0)
-    h_neighbors = topo1024.h.simple_neighbors(17)
+    h_neighbors = np.unique(topo1024.h.neighbors(17))
     assert (tr.k_rows[1][h_neighbors] == 91).all()
     assert tr.rejected == 0
 
@@ -160,8 +160,8 @@ def test_late_injection_is_rejected_without_a_chain(topo1024):
 def test_late_injection_lands_with_a_planted_chain(topo1024):
     h = topo1024.h
     u = 0
-    v = int(h.simple_neighbors(u)[0])
-    w = int(next(x for x in h.simple_neighbors(v) if x != u))
+    v = int(h.neighbors(u)[0])
+    w = int(next(x for x in h.neighbors(v) if x != u))
     byz = np.array(sorted({u, v, w}))
     assert longest_byzantine_chain(h, byz) >= 3
     tr = simulate_subphase(topo1024, 5, byz=byz, strategy="late_injector",
@@ -209,7 +209,7 @@ def _within(h, a, b, r):
     for _ in range(max(r, 0)):
         nxt = []
         for u in frontier:
-            for w in h.simple_neighbors(u):
+            for w in np.unique(h.neighbors(u)):
                 w = int(w)
                 if w == b:
                     return True

@@ -237,6 +237,27 @@ def test_sweep_cell_cap(tmp_path):
     assert cli.main(["sweep", "--config", spec]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("field,value", [
+    ("trials", 1.7), ("trials", 0), ("trials", "2"), ("trials", True),
+    ("cell_cap", 2.9), ("cell_cap", 0), ("seed", 1.5), ("seed", "a"),
+])
+def test_sweep_level_fields_must_be_integers(tmp_path, monkeypatch, capsys, field, value):
+    # a bad sweep-level field exits 3 before any cell runs
+    monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a cell ran"))
+    spec = _write(tmp_path / "sweep.json", {"n": [32], field: value})
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", spec, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"{field}: need an integer" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_trials_flag_is_checked_too(tmp_path):
+    spec = _write(tmp_path / "sweep.json", {"n": [32]})
+    assert cli.main(["sweep", "--config", spec, "--trials", "0",
+                     "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

@@ -322,6 +322,39 @@ def test_executors_agree_on_who_hears_a_short_report(path6, strategy, byz, crash
     np.testing.assert_array_equal(fast.crashed, ref.crashed)
 
 
+LIAR_LATE = {"parts": [{"name": "topology_liar"}, {"name": "late_injector"}]}
+
+
+@pytest.mark.parametrize("cfg,digest", [
+    (dict(n=1024, seed=3, algorithm="basic", strategy="none"),
+     "cb7a6c0b80d91fb32701a221e4554211"),
+    (dict(n=512, seed=1, algorithm="basic", strategy="late_injector"),
+     "e297da02410606be6d6330222a40eb62"),
+    (dict(n=512, seed=2, algorithm="basic", strategy="late_injector",
+          subphase_factor="phase"), "4d4724e2c3ec428ecf6a6ff07aaabb6a"),
+    (dict(n=512, seed=1, algorithm="basic", strategy="max_injector"),
+     "b8ee7dea1bcaddefdfd4f0ca582a6e5d"),
+    (dict(n=512, seed=4, algorithm="basic", strategy="max_injector",
+          strategy_params={"magnitude": 300}), "c9497f850769779cb3ff08e7c39b35e1"),
+    (dict(n=512, seed=1, algorithm="byzantine", strategy="none"),
+     "34f38f95daa78a1f12a1207e1d3caa6a"),
+    (dict(n=512, seed=2, algorithm="byzantine", strategy="silent"),
+     "764f8d8a43bff0217fdccc3ab59f8552"),
+    (dict(n=512, seed=3, algorithm="byzantine", strategy="max_injector"),
+     "f34a892295be018fd98ebc1068f810ed"),
+    (dict(n=512, seed=5, algorithm="byzantine", strategy="late_injector",
+          subphase_factor="phase"), "ceae2ed1df6dad0539b4c0f520a63b94"),
+    (dict(n=1024, seed=1, algorithm="byzantine", strategy="composite",
+          strategy_params=LIAR_LATE), "7f9c2dba77805f1332a9b30f2c4e658e"),
+])
+def test_fast_transcript_hashes_are_pinned(cfg, digest):
+    # golden digests of the fast executor, covering the paths no reference
+    # run checks at this size: replaces, extras (late_injector, where the
+    # executors still disagree under the hardened protocol), the int64
+    # basic state and multi-subphase phases
+    assert run_experiment(ExperimentConfig(**cfg)).transcript_hash == digest
+
+
 # ---------------------------------------------------------------------------
 # shared claim tables in the reference setup
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _bfs_levels(h, v, r):
     for depth in range(1, r + 1):
         nxt = []
         for u in frontier:
-            for w in h.simple_neighbors(u):
+            for w in np.unique(h.neighbors(u)):
                 w = int(w)
                 if w not in dist:
                     dist[w] = depth
@@ -98,7 +98,7 @@ def _lexsort_build(n, edges):
     """The H build before the one-sort rule: lexsort plus np.add.at.
 
     Returns the degrees, the port matrix and every node's neighbor list
-    with and without multiplicity."""
+    with multiplicity."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -111,13 +111,8 @@ def _lexsort_build(n, edges):
     width = max(int(degs.max(initial=0)), 1)
     ports = np.full((width, n), n, dtype=np.intp)
     ports[np.arange(src.size) - ptr[src], src] = dst
-    keep = np.ones(len(src), dtype=bool)
-    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    s_src, s_dst = src[keep], dst[keep]
     nbrs = [dst[ptr[v]:ptr[v + 1]] for v in range(n)]
-    s_ptr = np.searchsorted(s_src, np.arange(n + 1))
-    simple = [s_dst[s_ptr[v]:s_ptr[v + 1]] for v in range(n)]
-    return degs, ports, nbrs, simple
+    return degs, ports, nbrs
 
 
 @st.composite
@@ -217,13 +212,12 @@ def test_ports_keep_parallel_edges():
 
 
 def _assert_build_matches_lexsort(h):
-    degs, ports, nbrs, simple = _lexsort_build(h.n, h.edges)
+    degs, ports, nbrs = _lexsort_build(h.n, h.edges)
     for got, want in ((h.degrees, degs), (h.ports, ports)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     for v in range(h.n):
         np.testing.assert_array_equal(h.neighbors(v), nbrs[v])
-        np.testing.assert_array_equal(h.simple_neighbors(v), simple[v])
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,14 +255,14 @@ def test_augment_k1_on_cycle_is_h_adjacency(cycle6):
     topo = augment_small_world(cycle6, k=1)
     for v in range(6):
         np.testing.assert_array_equal(topo.l_neighbors(v),
-                                      cycle6.simple_neighbors(v))
+                                      np.unique(cycle6.neighbors(v)))
 
 
 def test_augment_k2_on_cycle_reaches_distance_two(cycle6):
     topo = augment_small_world(cycle6, k=2)
     for v in range(6):
         assert len(topo.l_neighbors(v)) == 4
-        assert topo.g_degree(v) == 4
+    assert np.diff(topo.l_ptr).tolist() == [4] * 6
 
 
 def test_l_rows_match_brute_force_bfs():
@@ -307,7 +301,6 @@ def _assert_layer_matches_closure(h, k):
     for v in range(h.n):
         row = idx[ptr[v]:ptr[v + 1]]
         np.testing.assert_array_equal(topo.l_neighbors(v), row)
-        assert topo.g_degree(v) == row.size
         np.testing.assert_array_equal(balls(h, [v], k)[0], _ball(h, v, k))
         members = set(row.tolist())
         h_members = set(h_nbrs[v])
@@ -497,7 +490,7 @@ def test_classification_all_honest_cycle(cycle6):
     assert cls.ltl.all()
     assert not cls.bad.any()
     assert cls.byz_safe.all()
-    assert cls.honest.all()
+    assert not cls.byz.any()
 
 
 def test_classification_no_byzantine_means_bad_equals_nlt(topo512):
@@ -517,10 +510,8 @@ def test_classification_requires_delta_when_defaulted(topo512):
 def test_classification_algebra(topo512, byz_set):
     byz = np.array(sorted(byz_set), dtype=np.int64)
     cls = classify_nodes(topo512, byz, delta=0.6)
-    np.testing.assert_array_equal(cls.honest, ~cls.byz)
     np.testing.assert_array_equal(cls.nlt, ~cls.ltl)
     np.testing.assert_array_equal(cls.bad, cls.byz | cls.nlt)
-    np.testing.assert_array_equal(cls.unsafe, cls.bus & ~cls.bad)
     np.testing.assert_array_equal(cls.byz_safe, ~cls.bus)
     assert np.all(cls.bad <= cls.bus)          # blast radius covers its seeds
     cap = cls.bad.sum() * 7 ** (topo512.k * cls.a_radius + 1)
@@ -573,8 +564,8 @@ def test_chain_length_empty_and_singleton(topo200):
 def test_chain_length_on_planted_path(cycle6):
     # three consecutive nodes along the cycle form a 3-chain
     start = int(cycle6.edges[0, 0])
-    mid = int(cycle6.simple_neighbors(start)[0])
-    rest = [int(x) for x in cycle6.simple_neighbors(mid) if x != start]
+    mid = int(cycle6.neighbors(start)[0])
+    rest = [int(x) for x in cycle6.neighbors(mid) if x != start]
     byz = np.array(sorted([start, mid, rest[0]]))
     assert longest_byzantine_chain(cycle6, byz) == 3
     assert longest_byzantine_chain(cycle6, byz, cap=2) == 2
