@@ -17,6 +17,7 @@ from statistics import median
 import numpy as np
 
 from .engine import (
+    NODE_CSV_FIELDS,
     ConfigError,
     ExperimentConfig,
     run_trials,
@@ -185,8 +186,11 @@ def cmd_analyze(args) -> int:
     for path in args.inputs:
         per_trial: dict[int, dict] = {}
         with open(path) as fh:
-            lines = (ln for ln in fh if not ln.startswith("#"))
-            for rec in csv.DictReader(lines):
+            reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+            if not set(NODE_CSV_FIELDS) <= set(reader.fieldnames or ()):
+                raise ConfigError(f"{path}: not a per-node run CSV "
+                                  f"(need columns {', '.join(NODE_CSV_FIELDS)})")
+            for rec in reader:
                 t = int(rec["trial"])
                 agg = per_trial.setdefault(t, {"nodes": 0, "alive": 0, "crashed": 0,
                                                "byz": 0, "estimates": []})

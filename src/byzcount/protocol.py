@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -376,6 +376,7 @@ def reconstruct_local_topology(
     reports: Mapping[int, Mapping[int, int]],
     k: int,
     expected_degree: int | None = None,
+    trusted: Collection[int] = frozenset(),
 ) -> LocalView | TopologyConflict:
     """Assemble B_H(center, k) from neighbor reports, or detect a conflict.
 
@@ -394,8 +395,13 @@ def reconstruct_local_topology(
     k : int
         Ball radius to reconstruct.
     expected_degree : int, optional
-        When set, a report whose multiplicities do not sum to it is itself
-        a conflict.
+        When set, any report, trusted or not, whose multiplicities do not
+        sum to it is itself a conflict.
+    trusted : collection of int, optional
+        Holders whose claim table is their real row of H.  H is symmetric
+        with multiplicity, so trusted x, y have ``T_x.get(y, 0) ==
+        T_y.get(x, 0)``: the scan skips such pairs and finds the same first
+        conflict and view.  Empty (the default) scans every pair.
 
     Returns
     -------
@@ -412,14 +418,17 @@ def reconstruct_local_topology(
                                     detail="report length != d")
         claims[int(reporter)] = table
 
-    # Any one-sided mention of a pair where both hold claim tables is a
-    # contradiction (covers both "claims an edge the other denies" and
-    # mismatched parallel-edge multiplicities).
-    for x, nbrs in claims.items():
-        for y, mult in nbrs.items():
-            if y in claims and claims[y].get(x, 0) != mult:
-                return TopologyConflict(center=center, a=x, b=y,
-                                        detail="asymmetric adjacency claim")
+    # Any one-sided mention of a pair where both hold claim tables, not
+    # both trusted, is a contradiction (covers both "claims an edge the
+    # other denies" and mismatched parallel-edge multiplicities).
+    untrusted = claims.keys() - trusted
+    if untrusted:
+        for x, nbrs in claims.items():
+            others = claims if x in untrusted else untrusted
+            for y, mult in nbrs.items():
+                if y in others and claims[y].get(x, 0) != mult:
+                    return TopologyConflict(center=center, a=x, b=y,
+                                            detail="asymmetric adjacency claim")
 
     # Past the scan, any two holders agree on every edge between them: a
     # holder's neighbors are its own claim, and a node without a claim is

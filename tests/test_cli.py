@@ -298,3 +298,30 @@ def test_analyze_counts_what_the_run_summary_counts(tmp_path):
 
 def test_analyze_missing_input_is_io_error(tmp_path):
     assert cli.main(["analyze", str(tmp_path / "ghost.csv")]) == cli.EXIT_IO
+
+
+def _sweep_csv(tmp_path):
+    spec = _write(tmp_path / "sweep.json", {"n": [32]})
+    assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / "s")]) == 0
+    return tmp_path / "s.csv"
+
+
+def _run_summary(tmp_path):
+    config = _write(tmp_path / "cfg.json", {"n": 32})
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "r")]) == 0
+    return tmp_path / "r.summary.json"
+
+
+def _one_line_config(tmp_path):
+    return _write(tmp_path / "cfg.json", {"n": 64})
+
+
+@pytest.mark.parametrize("make_input", [_sweep_csv, _run_summary, _one_line_config])
+def test_analyze_rejects_a_file_that_is_not_a_run_csv(tmp_path, capsys, make_input):
+    path = make_input(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "analysis.csv"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err and "not a per-node run CSV" in err
+    assert not out.exists()

@@ -125,6 +125,19 @@ def test_deliver_round_drops_spoofed_and_off_graph_messages(path6):
     assert counters.sent == 2 and counters.dropped == 2
 
 
+def test_deliver_round_checks_the_g_row_beyond_h_ports():
+    # path 0-1-2-3-4-5 with k=2: 2 is a G- but not an H-neighbor of 0
+    topo = augment_small_world(
+        HMultigraph.from_edges(6, 2, [(u, u + 1, 1) for u in range(5)]), k=2)
+    counters = SimpleNamespace(sent=0, delivered=0, dropped=0)
+    tok = _tok(3, 1, 0)
+    for dst, msg, want, counts in ((2, tok, {2: [tok]}, (1, 1, 0)),
+                                   (3, tok, {}, (2, 1, 1)),
+                                   (1, _tok(3, 1, 2), {}, (3, 1, 2))):
+        assert deliver_round({0: [(dst, msg)]}, topo, counters) == want
+        assert (counters.sent, counters.delivered, counters.dropped) == counts
+
+
 # ---------------------------------------------------------------------------
 # metrics assembly
 # ---------------------------------------------------------------------------
@@ -284,6 +297,11 @@ def test_executors_agree_under_late_injection():
 def test_executors_agree_at_n512(strategy):
     _assert_executors_agree(n=512, seed=0, algorithm="byzantine", strategy=strategy,
                             strategy_params=GRID_STRATEGIES[strategy])
+
+
+def test_executors_agree_at_n1024():
+    _assert_executors_agree(n=1024, seed=0, algorithm="byzantine", strategy="composite",
+                            strategy_params=LIAR_MAX)
 
 
 def test_executors_agree_on_an_irregular_tree(tree_d8):

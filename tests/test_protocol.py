@@ -463,7 +463,10 @@ _PERTURBATIONS = ("drop", "phantom", "add", "remove", "self_loop", "center")
 
 @st.composite
 def _claim_sets(draw):
-    """Truthful reports on a small random multigraph, then a few lies."""
+    """Truthful reports on a small random multigraph, then a few lies.
+
+    The last item is the trusted set: the center and every reporter whose
+    list the perturbations left as its real ports."""
     n = draw(st.integers(min_value=2, max_value=9))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
@@ -474,15 +477,18 @@ def _claim_sets(draw):
             ports[v].append(u)
     center = draw(st.integers(0, n - 1))
     reports = {u: list(ports[u]) for u in range(n) if u != center}
+    perturbed = set()
     for op, x in draw(st.lists(st.tuples(st.sampled_from(_PERTURBATIONS),
                                          st.integers(0, 50)), max_size=4)):
         if op == "center":
             reports[center] = list(ports[center])
+            perturbed.discard(center)
             continue
         if not reports:
             break
         u = sorted(reports)[x % len(reports)]
         lst = reports[u]
+        perturbed.add(u)
         if op == "drop":
             del reports[u]
         elif op == "phantom":
@@ -497,19 +503,26 @@ def _claim_sets(draw):
     reports = {u: reports[u] for u in order}
     k = draw(st.integers(min_value=0, max_value=3))
     expected = draw(st.sampled_from([None, len(ports[center])]))
-    return center, tuple(ports[center]), reports, k, expected
+    trusted = {center, *reports} - perturbed
+    return center, tuple(ports[center]), reports, k, expected, trusted
 
 
 @settings(max_examples=400, deadline=None)
 @given(_claim_sets())
 def test_reconstruction_equals_the_reference_rule(case):
-    center, own, reports, k, expected = case
+    center, own, reports, k, expected, trusted = case
     want = _reconstruct_before(center, own, reports, k, expected)
     tables = _tallied(reports)
     before = {u: dict(t) for u, t in tables.items()}
-    got = reconstruct_local_topology(center, claim_table(own), tables, k,
-                                     expected_degree=expected)
+    # the full scan, then the scan that skips pairs of trusted tables
+    for trust in (frozenset(), trusted):
+        got = reconstruct_local_topology(center, claim_table(own), tables, k,
+                                         expected_degree=expected, trusted=trust)
+        _assert_same_reconstruction(got, want, tables)
     assert tables == before                 # the claim tables are only read
+
+
+def _assert_same_reconstruction(got, want, tables):
     if isinstance(want, TopologyConflict):
         assert isinstance(got, TopologyConflict)
         assert (got.center, got.a, got.b, got.detail) == (
