@@ -11,7 +11,8 @@ never gives it.
 import numpy as np
 
 from byzcount.adversary import default_injection_color
-from byzcount.engine import ExperimentConfig, run_experiment, simulate_subphase
+from byzcount.engine import (ExperimentConfig, honest_estimates, run_experiment,
+                             simulate_subphase)
 from byzcount.graph import (
     augment_small_world,
     generate_h_graph,
@@ -28,7 +29,7 @@ res = run_experiment(cfg)
 
 byz = np.flatnonzero(res.byz_mask)
 honest = ~res.byz_mask
-crashed = int((res.crashed & honest).sum())
+crashed = res.crashed_honest
 print(f"n = {n}, {byz.size} Byzantine nodes lying about topology "
       f"and injecting color {default_injection_color(n)}")
 print(f"crashed honest nodes: {crashed} ({crashed / honest.sum():.2%}) -- "
@@ -37,9 +38,8 @@ print(f"provenance queries walked: {res.queries_total}, rejections: "
       f"{res.tokens_rejected} (a round-1 injection is a legal origination; "
       "it spreads but cannot delay anyone)")
 
-alive = honest & ~res.crashed
-dec = res.decided[alive & (res.decided > 0)]
-print(f"surviving honest deciders: {dec.size}/{int(alive.sum())}, "
+alive, dec = honest_estimates(res.byz_mask, res.crashed, res.decided)
+print(f"surviving honest deciders: {dec.size}/{alive}, "
       f"median estimate {np.median(dec):.0f} (log2 n = 12)")
 
 # late injection needs a real chain of k Byzantine nodes; random placements

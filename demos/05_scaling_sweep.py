@@ -22,7 +22,7 @@ for n in sizes:
         res = run_experiment(ExperimentConfig(
             n=n, d=8, seed=s, algorithm="basic", strategy="none",
             subphase_factor="phase"))
-        meds.append(np.median(res.decided[res.decided > 0]))
+        meds.append(np.median(res.estimates))
         rs.append(res.rounds_total)
     logs.append(math.log2(n))
     rounds.append(np.mean(rs))

@@ -10,14 +10,13 @@ everyone's maximum.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NODE_CSV_FIELDS
+from .engine import _write_node_csv
 from .graph import Topology
 from .protocol import draw_colors
 from .rng import stream
@@ -93,14 +92,9 @@ def run_support_estimation(topo: Topology,
 def write_baseline_csv(est: SupportEstimate, topo: Topology, path: str,
                        trial: int = 0) -> None:
     """Per-node rows in the engine's CSV schema (estimate = final max)."""
-    ids = topo.h.ids
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(NODE_CSV_FIELDS)
-        for v in range(est.final_max.shape[0]):
-            w.writerow([trial, int(ids[v]),
-                        "byz" if est.byz[v] else "byz_safe",
-                        True, int(est.final_max[v]), False])
+    rows = zip(topo.h.ids.tolist(), est.byz.tolist(), est.final_max.tolist())
+    _write_node_csv(path, ((trial, v, "byz" if b else "byz_safe", e, False)
+                           for v, b, e in rows))
 
 
 def write_baseline_summary(est: SupportEstimate, path: str, *,

@@ -24,6 +24,7 @@ from .engine import (
     write_summary_json,
     write_trial_csv,
     _integer,
+    honest_estimates,
 )
 from .graph import augment_small_world, generate_h_graph, save_topology
 from .rng import stream
@@ -125,6 +126,8 @@ def cmd_sweep(args) -> int:
                                "seed", least=None)
     trials = _sweep_integer(args.trials if args.trials is not None else spec.get("trials", 1),
                             "trials")
+    if "out" in spec and not (isinstance(spec["out"], str) and spec["out"]):
+        raise ConfigError(f"out: need a non-empty string, got {spec['out']!r}")
     cells = _sweep_cells(spec)
     if len(cells) > cap:
         raise ConfigError(f"sweep: {len(cells)} cells exceed the cap {cap}")
@@ -146,10 +149,7 @@ def cmd_sweep(args) -> int:
             row.update(status=f"failed: {exc}")
             rows.append(row)
             continue
-        ests = []
-        for r in results:
-            alive = ~r.byz_mask & ~r.crashed
-            ests.extend(int(e) for e in r.decided[alive] if e > 0)
+        ests = [e for r in results for e in r.estimates.tolist()]
         safe_fracs = [r.byz_safe_success_fraction for r in results
                       if r.byz_safe_success_fraction is not None]
         q1, q3 = (np.percentile(ests, [25, 75]) if ests else (math.nan, math.nan))
@@ -184,33 +184,25 @@ def cmd_analyze(args) -> int:
     out = args.out or os.path.join(_outdir(), "analysis.csv")
     rows = []
     for path in args.inputs:
-        per_trial: dict[int, dict] = {}
+        per_trial: dict[int, list] = {}
         with open(path) as fh:
             reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
             if not set(NODE_CSV_FIELDS) <= set(reader.fieldnames or ()):
                 raise ConfigError(f"{path}: not a per-node run CSV "
                                   f"(need columns {', '.join(NODE_CSV_FIELDS)})")
             for rec in reader:
-                t = int(rec["trial"])
-                agg = per_trial.setdefault(t, {"nodes": 0, "alive": 0, "crashed": 0,
-                                               "byz": 0, "estimates": []})
-                byz, crashed = rec["class"] == "byz", rec["crashed"] == "True"
-                agg["nodes"] += 1
-                agg["byz"] += byz
-                agg["crashed"] += crashed
-                # the run's own rule: honest, uncrashed nodes only
-                if not (byz or crashed):
-                    agg["alive"] += 1
-                    if rec["decided"] == "True" and rec["estimate"]:
-                        agg["estimates"].append(int(rec["estimate"]))
-        for t, agg in sorted(per_trial.items()):
-            ests = agg["estimates"]
+                est = int(rec["estimate"]) if rec["decided"] == "True" and rec["estimate"] else 0
+                per_trial.setdefault(int(rec["trial"]), []).append(
+                    (rec["class"] == "byz", rec["crashed"] == "True", est))
+        for t, recs in sorted(per_trial.items()):
+            byz, crashed, decided = (np.array(col) for col in zip(*recs))
+            alive, ests = honest_estimates(byz, crashed, decided)
             rows.append({
                 "file": os.path.basename(path), "trial": t,
-                "nodes": agg["nodes"], "byz": agg["byz"],
-                "decided_fraction": len(ests) / agg["alive"] if agg["alive"] else 0.0,
-                "median_estimate": median(ests) if ests else "",
-                "crashed": agg["crashed"],
+                "nodes": len(recs), "byz": int(byz.sum()),
+                "decided_fraction": ests.size / alive if alive else 0.0,
+                "median_estimate": median(ests.tolist()) if ests.size else "",
+                "crashed": int(crashed.sum()),
             })
     with open(out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["file", "trial", "nodes", "byz",

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .graph import (
-    NodeClassification,
     Topology,
     augment_small_world,
     classify_nodes,
@@ -84,7 +83,7 @@ __all__ = [
     "run_trials",
     "deliver_round",
     "verification_subround_scheduler",
-    "collect_metrics",
+    "honest_estimates",
     "simulate_subphase",
     "write_trial_csv",
     "write_summary_json",
@@ -226,7 +225,6 @@ class _Counters:
     dropped: int = 0          # non-edge or spoofed-sender messages
     queries: int = 0          # provenance queries issued
     rejected: int = 0         # tokens failing verification
-    malformed: int = 0        # tokens with bad stamps, dropped by receivers
 
 
 def verification_subround_scheduler(t: int, k: int) -> tuple[tuple[str, int], ...]:
@@ -808,7 +806,7 @@ def _reference_subphase(run: _Run, i: int, j: int, last: bool,
         inboxes = deliver_round(outboxes, run.topo, run.counters)
 
     k_rows = np.zeros((i + 1, n_ := run.n), dtype=np.int64)
-    rejected = malformed = 0
+    rejected = 0
     for v in range(n_):
         kv = states[v].k_values
         for r in range(1, i + 1):
@@ -817,38 +815,39 @@ def _reference_subphase(run: _Run, i: int, j: int, last: bool,
         run.decided[v] = st.decided if st.decided is not None else 0
         run.active[v] = st.active
         rejected += st.rejected
-        malformed += st.dropped
     # per-node tallies are cumulative across subphases, so overwrite
     run.counters.rejected = rejected
-    run.counters.malformed = malformed
     run.fold(i, j, k_rows)
     return k_rows
 
 
 # ---------------------------------------------------------------------------
-# run driver and metrics
+# run driver and result record
 # ---------------------------------------------------------------------------
+
+
+def honest_estimates(byz: np.ndarray, crashed: np.ndarray,
+                     decided: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rule every report counts by: the number of honest, uncrashed
+    nodes and the estimates of those among them that decided."""
+    alive = ~byz & ~crashed
+    est = decided[alive]
+    return int(alive.sum()), est[est > 0]
 
 
 @dataclass(eq=False)
 class RunResult:
-    """Everything measured in one trial."""
+    """Everything measured in one trial; every reported figure derives
+    from these arrays and ``config["band"]``."""
 
     config: dict
     trial: int
     trial_seed: int
-    n: int
-    d: int
     node_ids: np.ndarray
     class_labels: np.ndarray
     decided: np.ndarray          # 0 = no decision
     crashed: np.ndarray
     byz_mask: np.ndarray
-    success_fraction: float
-    byz_safe_success_fraction: float | None
-    decided_fraction: float
-    crashed_honest: int
-    non_deciders: int
     capped: bool
     rounds_total: int
     rounds_setup: int
@@ -857,14 +856,60 @@ class RunResult:
     messages_dropped: int
     queries_total: int
     tokens_rejected: int
-    tokens_malformed: int
     per_phase: list
     transcript_hash: str
 
+    @property
+    def n(self) -> int:
+        return self.decided.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.config["d"]
+
+    def _counted(self) -> tuple[int, np.ndarray]:
+        return honest_estimates(self.byz_mask, self.crashed, self.decided)
+
+    def _in_band(self, est: np.ndarray) -> int:
+        log_n = math.log2(self.config["n"])
+        lo, hi = self.config["band"]
+        return int(((est >= lo * log_n) & (est <= hi * log_n)).sum())
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """Estimates of the honest, uncrashed nodes that decided."""
+        return self._counted()[1]
+
+    @property
+    def success_fraction(self) -> float:
+        """In-band deciders over all honest uncrashed nodes, so nodes that
+        never decided (phase cap) count against success."""
+        alive, est = self._counted()
+        return self._in_band(est) / alive if alive else 0.0
+
+    @property
+    def byz_safe_success_fraction(self) -> float | None:
+        """In-band deciders over the byz-safe deciders; None if there are none."""
+        _, est = honest_estimates(self.class_labels != "byz_safe", self.crashed,
+                                  self.decided)
+        return self._in_band(est) / est.size if est.size else None
+
+    @property
+    def decided_fraction(self) -> float:
+        alive, est = self._counted()
+        return est.size / alive if alive else 0.0
+
+    @property
+    def crashed_honest(self) -> int:
+        return int((~self.byz_mask & self.crashed).sum())
+
+    @property
+    def non_deciders(self) -> int:
+        alive, est = self._counted()
+        return alive - est.size
+
     def to_summary(self) -> dict:
-        honest = ~self.byz_mask
-        dec = self.decided[honest & ~self.crashed]
-        dec = dec[dec > 0]
+        est = self.estimates
         return {
             "protocol": self.config.get("algorithm"),
             "trial": self.trial,
@@ -873,7 +918,7 @@ class RunResult:
             "success_fraction": self.success_fraction,
             "byz_safe_success_fraction": self.byz_safe_success_fraction,
             "decided_fraction": self.decided_fraction,
-            "median_estimate": float(np.median(dec)) if dec.size else None,
+            "median_estimate": float(np.median(est)) if est.size else None,
             "crashed_honest": self.crashed_honest,
             "non_deciders": self.non_deciders,
             "capped": self.capped,
@@ -887,68 +932,6 @@ class RunResult:
             "per_phase": self.per_phase,
             "transcript_hash": self.transcript_hash,
         }
-
-
-def collect_metrics(cfg: ExperimentConfig, *, trial: int, trial_seed: int,
-                    node_ids: np.ndarray, classification: NodeClassification,
-                    decided: np.ndarray, crashed: np.ndarray,
-                    byz_mask: np.ndarray, counters: _Counters,
-                    rounds_total: int, rounds_setup: int,
-                    per_phase: list, capped: bool,
-                    transcript_hash: str) -> RunResult:
-    """Final accounting: success fractions against the configured band.
-
-    The denominator is all honest uncrashed nodes; in-band deciders make
-    the numerator, so nodes that never decided (phase cap) count against
-    success and are also reported separately.
-    """
-    n = decided.shape[0]
-    log_n = math.log2(cfg.n)
-    lo = cfg.band[0] * log_n
-    hi = cfg.band[1] * log_n
-    honest = ~byz_mask
-    alive = honest & ~crashed
-    deciders = alive & (decided > 0)
-    in_band = deciders & (decided >= lo) & (decided <= hi)
-
-    denom = int(alive.sum())
-    success = float(in_band.sum() / denom) if denom else 0.0
-    safe = classification.byz_safe & alive
-    safe_dec = safe & (decided > 0)
-    safe_in = safe_dec & in_band
-    safe_frac = (float(safe_in.sum() / safe_dec.sum())
-                 if int(safe_dec.sum()) else None)
-
-    labels = np.where(byz_mask, "byz",
-                      np.where(classification.bus, "bus", "byz_safe"))
-    return RunResult(
-        config=cfg.to_dict(),
-        trial=trial,
-        trial_seed=trial_seed,
-        n=n,
-        d=cfg.d,
-        node_ids=node_ids,
-        class_labels=labels,
-        decided=decided.copy(),
-        crashed=crashed.copy(),
-        byz_mask=byz_mask.copy(),
-        success_fraction=success,
-        byz_safe_success_fraction=safe_frac,
-        decided_fraction=float(deciders.sum() / denom) if denom else 0.0,
-        crashed_honest=int((honest & crashed).sum()),
-        non_deciders=int((alive & (decided == 0)).sum()),
-        capped=capped,
-        rounds_total=rounds_total,
-        rounds_setup=rounds_setup,
-        messages_sent=counters.sent,
-        messages_delivered=counters.delivered,
-        messages_dropped=counters.dropped,
-        queries_total=counters.queries,
-        tokens_rejected=counters.rejected,
-        tokens_malformed=counters.malformed,
-        per_phase=per_phase,
-        transcript_hash=transcript_hash,
-    )
 
 
 def run_experiment(cfg: ExperimentConfig, trial: int = 0,
@@ -1002,12 +985,16 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
 
     run.hasher.update(struct.pack("<qqq", run.counters.sent,
                                   run.counters.queries, run.counters.rejected))
-    return collect_metrics(
-        cfg, trial=trial, trial_seed=run.tseed, node_ids=run.topo.h.ids,
-        classification=run.classification, decided=run.decided,
-        crashed=run.crashed, byz_mask=run.byz_mask, counters=run.counters,
-        rounds_total=run.rounds_total, rounds_setup=run.rounds_setup,
-        per_phase=run.per_phase, capped=capped,
+    cnt, cls = run.counters, run.classification
+    return RunResult(
+        config=cfg.to_dict(), trial=trial, trial_seed=run.tseed,
+        node_ids=run.topo.h.ids,
+        class_labels=np.where(run.byz_mask, "byz", np.where(cls.bus, "bus", "byz_safe")),
+        decided=run.decided, crashed=run.crashed, byz_mask=run.byz_mask,
+        capped=capped, rounds_total=run.rounds_total, rounds_setup=run.rounds_setup,
+        messages_sent=cnt.sent, messages_delivered=cnt.delivered,
+        messages_dropped=cnt.dropped, queries_total=cnt.queries,
+        tokens_rejected=cnt.rejected, per_phase=run.per_phase,
         transcript_hash=run.hasher.hexdigest())
 
 
@@ -1093,22 +1080,19 @@ def simulate_subphase(topo: Topology, phase: int, *,
 # ---------------------------------------------------------------------------
 
 
-def write_trial_csv(results: list[RunResult], path: str) -> None:
-    """One row per node per trial, with the columns of ``NODE_CSV_FIELDS``."""
+def _write_node_csv(path: str, rows) -> None:
+    """Write (trial, node_id, class, estimate, crashed) ``rows`` under
+    ``NODE_CSV_FIELDS``; an estimate below 1 is a non-decider's."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(NODE_CSV_FIELDS)
-        for res in results:
-            for v in range(res.n):
-                est = int(res.decided[v])
-                w.writerow([
-                    res.trial,
-                    int(res.node_ids[v]),
-                    str(res.class_labels[v]),
-                    bool(est > 0),
-                    est if est > 0 else "",
-                    bool(res.crashed[v]),
-                ])
+        w.writerows((t, v, c, e > 0, e if e > 0 else "", x) for t, v, c, e, x in rows)
+
+
+def write_trial_csv(results: list[RunResult], path: str) -> None:
+    """One row per node per trial, with the columns of ``NODE_CSV_FIELDS``."""
+    _write_node_csv(path, ((r.trial, *row) for r in results for row in zip(
+        r.node_ids.tolist(), r.class_labels.tolist(), r.decided.tolist(), r.crashed.tolist())))
 
 
 def write_summary_json(results: list[RunResult], path: str) -> None:

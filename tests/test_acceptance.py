@@ -166,7 +166,7 @@ def test_criterion_5_honest_sweep_estimates(criterion_log, honest_sweep):
             for r in honest_sweep[n]:
                 worst_decided = min(worst_decided, r.decided_fraction)
                 assert r.decided_fraction >= 0.9
-                est = r.decided[r.decided > 0]
+                est = r.estimates
                 assert est.max() <= cap
                 meds.append(float(np.median(est)))
             med_means.append(float(np.mean(meds)))

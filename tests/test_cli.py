@@ -251,6 +251,14 @@ def test_sweep_level_fields_must_be_integers(tmp_path, monkeypatch, capsys, fiel
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("value", [5, "", None, ["s"]])
+def test_sweep_out_must_be_a_non_empty_string(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a cell ran"))
+    spec = _write(tmp_path / "sweep.json", {"n": [32], "out": value})
+    assert cli.main(["sweep", "--config", spec]) == cli.EXIT_CONFIG
+    assert "out: need a non-empty string" in capsys.readouterr().err
+
+
 def test_sweep_trials_flag_is_checked_too(tmp_path):
     spec = _write(tmp_path / "sweep.json", {"n": [32]})
     assert cli.main(["sweep", "--config", spec, "--trials", "0",

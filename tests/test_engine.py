@@ -2,6 +2,7 @@
 round accounting, and output formats."""
 
 import csv
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from byzcount.adversary import AdversaryStrategy, Injection
 from byzcount.engine import (
     ConfigError,
     ExperimentConfig,
-    collect_metrics,
+    RunResult,
     deliver_round,
     run_experiment,
     run_trials,
@@ -142,21 +143,21 @@ def test_deliver_round_checks_the_g_row_beyond_h_ports():
 # metrics assembly
 # ---------------------------------------------------------------------------
 
-def _metrics(topo, decided, byz=(), band=(0.5, 4.0)):
+def _metrics(topo, decided, byz=(), band=(0.5, 4.0), labels=None):
     n = topo.n
     byz = np.array(sorted(byz), dtype=np.int64)
-    cls = classify_nodes(topo, byz, a_radius=1)
     byz_mask = np.zeros(n, dtype=bool)
     byz_mask[byz] = True
-    counters = SimpleNamespace(sent=10, delivered=10, dropped=0, queries=0,
-                               rejected=0, malformed=0)
-    cfg = ExperimentConfig(n=n, band=band)
-    return collect_metrics(
-        cfg, trial=0, trial_seed=1, node_ids=topo.h.ids, classification=cls,
-        decided=np.asarray(decided, dtype=np.int64),
-        crashed=np.zeros(n, dtype=bool), byz_mask=byz_mask, counters=counters,
-        rounds_total=5, rounds_setup=1, per_phase=[], capped=False,
-        transcript_hash="f" * 8)
+    if labels is None:
+        cls = classify_nodes(topo, byz, a_radius=1)
+        labels = np.where(byz_mask, "byz", np.where(cls.bus, "bus", "byz_safe"))
+    return RunResult(
+        config=ExperimentConfig(n=n, band=band).to_dict(), trial=0, trial_seed=1,
+        node_ids=topo.h.ids, class_labels=np.asarray(labels),
+        decided=np.asarray(decided, dtype=np.int64), crashed=np.zeros(n, dtype=bool),
+        byz_mask=byz_mask, capped=False, rounds_total=5, rounds_setup=1,
+        messages_sent=10, messages_delivered=10, messages_dropped=0,
+        queries_total=0, tokens_rejected=0, per_phase=[], transcript_hash="f" * 8)
 
 
 def test_success_fraction_full_and_empty(topo512):
@@ -181,11 +182,29 @@ def test_success_fraction_counts_only_the_band(topo512):
     assert out.byz_safe_success_fraction is None   # blast radius covers all
 
 
-def test_class_labels_partition(topo512):
-    out = _metrics(topo512, np.zeros(topo512.n, dtype=np.int64), byz=[3])
+def test_byz_safe_success_counts_byz_safe_deciders_only(topo512):
+    n = topo512.n                     # band is [4.5, 36] at n=512
+    labels = np.full(n, "bus", dtype="<U8")
+    labels[:100] = "byz_safe"
+    labels[500:] = "byz"
+    decided = np.full(n, 5, dtype=np.int64)
+    decided[:30] = 1                  # byz-safe, below the band
+    decided[30:40] = 0                # byz-safe non-deciders stay out
+    decided[100:] = 1                 # bus and byz nodes never count here
+    out = _metrics(topo512, decided, byz=range(500, n), labels=labels)
+    assert out.byz_safe_success_fraction == pytest.approx(60 / 90)
+    assert out.success_fraction == pytest.approx(60 / 500)
+    assert out.non_deciders == 10
+    np.testing.assert_array_equal(out.estimates, decided[:500][decided[:500] > 0])
+
+
+def test_class_labels_partition():
+    out = run_experiment(ExperimentConfig(n=256, algorithm="byzantine",
+                                          strategy="silent", delta=0.7))
     labels = set(out.class_labels.tolist())
     assert labels <= {"byz", "bus", "byz_safe"}
-    assert out.class_labels[3] == "byz"
+    np.testing.assert_array_equal(out.class_labels == "byz", out.byz_mask)
+    assert out.byz_mask.any()
 
 
 # ---------------------------------------------------------------------------
@@ -855,3 +874,24 @@ def test_csv_and_json_outputs(tmp_path):
         assert set(sm) >= {"success_fraction", "rounds_total",
                            "messages_total", "queries_total",
                            "transcript_hash"}
+
+
+# to_summary() of four fast configs without an injector, as sha256 of its
+# JSON (key order included): a capped run where every node is a
+# non-decider, crashed honest nodes, success below 1, silent nodes
+SUMMARY_DIGESTS = [
+    (dict(n=300, algorithm="basic", phase_cap=2), "dba847cc438456cd"),
+    (dict(n=256, algorithm="byzantine", strategy="topology_liar", delta=0.7),
+     "39f9e8088cf19682"),
+    (dict(n=256, algorithm="byzantine", strategy="honest_mimic", delta=0.4,
+          band=(0.5, 1.0)), "0951b2030a00987c"),
+    (dict(n=512, algorithm="byzantine", strategy="silent", delta=0.7),
+     "70a01fe2d810d602"),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", SUMMARY_DIGESTS)
+def test_summary_json_is_pinned(kwargs, digest):
+    summary = run_experiment(ExperimentConfig(**kwargs)).to_summary()
+    got = hashlib.sha256(json.dumps(summary).encode()).hexdigest()[:16]
+    assert got == digest, summary

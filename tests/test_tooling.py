@@ -7,6 +7,9 @@ instead of breaking traced benchmark runs.
 
 The package's only runtime dependency is numpy: scipy and networkx serve the
 tests as oracles, and importing byzcount must not pay for them.
+
+The demos that read a ``RunResult`` run to completion, so a change to what
+it offers cannot silently break them.
 """
 
 import importlib.util
@@ -17,6 +20,8 @@ import tomllib
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from byzcount import engine
 from byzcount.adversary import CompositeStrategy
 from byzcount.graph import generate_h_graph
@@ -25,15 +30,28 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_import_loads_neither_scipy_nor_networkx():
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_loads_neither_scipy_nor_networkx():
     code = ("import sys, byzcount; "
             "print([m for m in ('scipy', 'networkx') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# 01_topology.py reads no RunResult and alone takes about as long as the rest
+@pytest.mark.parametrize("demo", ["02_basic_counting.py", "03_byzantine_defense.py",
+                                  "04_baseline_fragility.py", "05_scaling_sweep.py"])
+def test_demo_runs(demo):
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=_src_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def test_numpy_is_the_only_runtime_dependency():
