@@ -31,9 +31,9 @@ nodes without a policy) plus ``deliver_round``.  Both consume identical
 color streams and fold identical per-subphase state into the transcript
 hash, so equality of results is testable.
 The reference copies one node state per node step and keeps forwarding
-logs per subphase, so it grows linearly with run length; its setup shares
-one claim table per truthful sender among all receivers and scans only
-pairs with an untruthful table for conflicts.  On a 2-core Xeon VM a
+logs per subphase, so it grows linearly with run length.  Its setup shares
+the real H rows, tallied once, patches in only Byzantine reports and scans
+only pairs with a lie for conflicts.  On a 2-core Xeon VM a
 hardened trial takes ~0.1 s at n=128, ~0.6 s at n=512 and ~1.7 s at
 n=1024 (a quarter of it setup), where the fast path takes ~0.05 s.
 """
@@ -304,6 +304,9 @@ class _Run:
         if topo is None:
             h = generate_h_graph(cfg.n, cfg.d, seed=self.tseed)
             topo = augment_small_world(h)
+        elif (topo.n, topo.h.d) != (cfg.n, cfg.d):
+            raise ConfigError(f"topo: has (n, d) = ({topo.n}, {topo.h.d}), "
+                              f"config asks ({cfg.n}, {cfg.d})")
         self.topo = topo
         self.n = topo.h.n
         self.d = topo.h.d
@@ -311,6 +314,8 @@ class _Run:
 
         if byz is not None:
             self.byz_nodes = np.asarray(byz, dtype=np.int64)
+            if ((self.byz_nodes < 0) | (self.byz_nodes >= self.n)).any():
+                raise ConfigError(f"byz: need node indices in [0, {self.n})")
         elif cfg.strategy != "none":
             self.byz_nodes = place_byzantine(self.n, cfg.delta, seed=self.tseed)
         else:
@@ -356,28 +361,6 @@ class _Run:
         # 2^16 run's lie receivers hear costs ~9 MiB of peak RSS there
         return tuple(self.topo.h.neighbors(v).tolist())
 
-    def truthful_claim(self, v: int, memo: dict[int, dict[int, int]] | None
-                       ) -> dict[int, int]:
-        """The claim table of ``v``'s own ports, kept in ``memo`` if given."""
-        if memo is None:
-            return claim_table(self.truthful_report(v))
-        if v not in memo:
-            memo[v] = claim_table(self.truthful_report(v))
-        return memo[v]
-
-    def claim_for(self, sender: int, receiver: int,
-                  memo: dict[int, dict[int, int]] | None
-                  ) -> tuple[dict[int, int], bool] | None:
-        """The claim table ``sender`` hands ``receiver`` and whether it is
-        ``sender``'s real H row; None = silent."""
-        if self.byz_mask[sender] and self.strategy is not None:
-            if not self.strategy.sends_reports:
-                return None
-            rep = self.strategy.setup_report(int(sender), int(receiver))
-            if rep is not None:
-                return claim_table(rep), False
-        return self.truthful_claim(sender, memo), True
-
     def run_setup(self, full: bool) -> None:
         """One round of adjacency-list exchange; reconstruction and crashes.
 
@@ -389,19 +372,17 @@ class _Run:
         keeps a faithful stand-in view, which is exact because truthful
         reports of length d always reconstruct faithfully.
 
-        ``trusted`` holds the receiver and every reporter served through
-        ``truthful_claim``.  Their tables are rows of the symmetric H, so
-        no two of them disagree, and the conflict scan checks only pairs
-        with a ``setup_report``: same first conflict, same view.
-
-        In the full setup each truthful sender's claim table is tallied
-        once, on first use, and shared by reference with every receiver
-        and view (``reconstruct_local_topology`` and ``LocalView`` only
-        read it); a Byzantine ``setup_report`` differs per receiver and is
-        tallied per (sender, receiver).  The lie-receiver setup tallies
-        every report afresh and shares nothing: in a 2^16 liar run its 84
-        receivers hear 38,182 reports from 28,995 distinct senders, so a
-        memo would save little time and hold its tables in peak RSS.
+        A receiver's reports start as the real H rows of its G-row, in row
+        order; only its Byzantine senders are then asked for a
+        ``setup_report``.  A lie replaces that sender's table, a silent
+        strategy drops it, and either way the sender leaves ``trusted``.
+        The rest are rows of the symmetric H, so no two trusted tables
+        disagree and the conflict scan checks only pairs with a lie.  The
+        full setup tallies the n real rows once and shares them by
+        reference with every receiver and view.  The lie-receiver setup
+        tallies each report afresh: in a 2^16 liar run its 84 receivers
+        hear 38,182 reports from 28,995 senders, so shared tables would
+        save little time and hold memory.
         """
         cfg = self.cfg
         _count_sends(self, int(np.diff(self.topo.l_ptr)[~self.suppressed].sum()))
@@ -416,17 +397,26 @@ class _Run:
         receivers = set(range(self.n)) if full else set(self.lie_rx_set)
         for u in np.flatnonzero(odd):
             receivers.update(self.topo.l_neighbors(u).tolist())
-        memo: dict[int, dict[int, int]] | None = {} if full else None
+        if full:
+            table = [claim_table(self.truthful_report(u)) for u in range(self.n)].__getitem__
+        else:
+            def table(u: int) -> dict[int, int]:
+                return claim_table(self.truthful_report(u))
+        ask = self.byz_mask & (self.strategy is not None)
         for v in sorted(receivers):
-            reports, trusted = {}, {v}
-            for u in self.topo.l_neighbors(v).tolist():
-                claim = self.claim_for(u, v, memo)
-                if claim is not None:
-                    reports[u], truthful = claim
-                    if truthful:
-                        trusted.add(u)
+            row = self.topo.l_neighbors(v)
+            reports = {u: table(u) for u in row.tolist()}
+            trusted = {v, *reports}
+            for u in row[ask[row]].tolist():
+                if silent:
+                    del reports[u]
+                elif (rep := self.strategy.setup_report(u, v)) is not None:
+                    reports[u] = claim_table(rep)
+                else:
+                    continue
+                trusted.remove(u)
             res = reconstruct_local_topology(
-                v, self.truthful_claim(v, memo), reports, self.k,
+                v, table(v), reports, self.k,
                 expected_degree=self.d, trusted=trusted)
             if isinstance(res, TopologyConflict):
                 if not self.byz_mask[v]:
@@ -439,7 +429,8 @@ class _Run:
 
     # -- verification ----------------------------------------------------
 
-    def make_query_fn(self, asker: int, phase: int, subphase: int, get_log):
+    def verify_token(self, receiver: int, tok: Token,
+                     phase: int, subphase: int, get_log) -> bool:
         def query(target: int, color: int, r: int):
             self.counters.queries += 1
             if not (0 <= target < self.n):
@@ -448,7 +439,7 @@ class _Run:
                 return None
             if self.byz_mask[target] and self.strategy is not None:
                 ans = self.strategy.answer_query(
-                    int(target), int(asker), int(color), phase, subphase, int(r))
+                    int(target), int(receiver), int(color), phase, subphase, int(r))
                 if ans is not TRUTHFUL:
                     return ans
             entry = get_log(int(target), int(r))
@@ -456,15 +447,11 @@ class _Run:
                 return None
             sent_color, sent_pred = entry
             return sent_pred if sent_color == color else None
-        return query
 
-    def verify_token(self, receiver: int, tok: Token,
-                     phase: int, subphase: int, get_log) -> bool:
         view = self.views.get(receiver)
         if view is None:
             view = _TrueView(self.topo, receiver)
-        qfn = self.make_query_fn(receiver, phase, subphase, get_log)
-        return verify_color_provenance(view, tok, qfn)
+        return verify_color_provenance(view, tok, query)
 
     def fold(self, phase: int, subphase: int, k_rows: np.ndarray) -> None:
         self.hasher.update(struct.pack("<qq", phase, subphase))
@@ -537,13 +524,9 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
     for x, c, s, p in zip(*(a[order].tolist() for a in items)):
         if done[x]:
             continue
-        v = int(hot[x])
-        if byz[s] or lie[v]:
-            if not verify(v, c, s, p):
-                cnt.rejected += 1
-                continue
-        else:
-            cnt.queries += wl
+        if not verify(int(hot[x]), c, s, p):  # every item is Byzantine or at a lie receiver
+            cnt.rejected += 1
+            continue
         col[x], src[x], done[x] = c, s, True
     cnt.queries += wl * int(((hk > 0) & ~done).sum())
     recv_col[hot] = col
@@ -941,7 +924,8 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
 
     ``topo``/``byz`` may be supplied to reuse a prebuilt topology or a
     fixed placement (fixtures); by default both derive from the trial
-    seed.
+    seed.  A ``topo`` whose n or d differs from ``cfg``'s, or a ``byz``
+    index outside [0, n), raises ``ConfigError``.
     """
     run = _Run(cfg, trial, topo=topo, byz=byz)
     reference = cfg.engine == "reference"
@@ -1027,7 +1011,7 @@ def simulate_subphase(topo: Topology, phase: int, *,
                       strategy: str = "none",
                       strategy_params: dict | None = None,
                       algorithm: str = "byzantine",
-                      epsilon: float = 0.1,
+                      epsilon: float = ExperimentConfig.epsilon,
                       threshold: float | None = None,
                       seed: int = 0,
                       relax_degree: bool = False) -> SubphaseTrace:
@@ -1042,7 +1026,7 @@ def simulate_subphase(topo: Topology, phase: int, *,
         n=topo.h.n, d=topo.h.d, seed=seed, algorithm=algorithm,
         strategy=strategy, strategy_params=dict(strategy_params or {}),
         epsilon=epsilon, relax_degree=relax_degree,
-        delta=1.0 if topo.h.d < 8 else 0.6)
+        delta=1.0 if topo.h.d < 8 else ExperimentConfig.delta)
     run = _Run(cfg, trial=0, topo=topo,
                byz=byz if byz is not None else np.zeros(0, dtype=np.int64))
     run.run_setup(full=False)

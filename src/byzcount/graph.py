@@ -134,9 +134,6 @@ class HMultigraph:
         """Neighbors of v with multiplicity (one entry per incident edge), sorted."""
         return self.ports[:self.degrees[v], v]
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     def h_adjacent(self, a: int, b: int) -> bool:
         """True iff an edge joins a and b; a's neighbor set is built on first use."""
         nbrs = self._nbr_sets.get(a)

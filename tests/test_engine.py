@@ -25,8 +25,9 @@ from byzcount.engine import (
     write_summary_json,
     write_trial_csv,
 )
-from byzcount.graph import HMultigraph, augment_small_world, classify_nodes
-from byzcount.protocol import ORIGIN, NodeState, RoundContext, Token, claim_table, honest_node_step
+from byzcount.graph import HMultigraph, augment_small_world, classify_nodes, generate_h_graph
+from byzcount.protocol import (ORIGIN, NodeState, RoundContext, Token, TopologyConflict,
+                               claim_table, honest_node_step, reconstruct_local_topology)
 
 
 def _tok(color, hop, src, *, phase=1, subphase=1, pred=ORIGIN):
@@ -92,6 +93,18 @@ def test_from_dict_round_trip_and_unknown_field():
     assert cfg.n == 64 and cfg.band == (1.0, 3.0)
     with pytest.raises(ConfigError, match="flux_capacitor"):
         ExperimentConfig.from_dict({"n": 64, "flux_capacitor": 1})
+
+
+@pytest.mark.parametrize("n,byz,fragment", [
+    (4096, None, "topo"),    # a 64-node topology under n=4096
+    (64, [-1], "byz"),       # would mark node 63 Byzantine
+    (64, [64], "byz"),       # would index past the node set
+])
+def test_fixtures_must_fit_the_config(n, byz, fragment):
+    topo = augment_small_world(generate_h_graph(64, 8, seed=0))
+    cfg = ExperimentConfig(n=n, algorithm="byzantine", strategy="silent")
+    with pytest.raises(ConfigError, match=fragment):
+        run_experiment(cfg, topo=topo, byz=byz)
 
 
 # ---------------------------------------------------------------------------
@@ -400,60 +413,94 @@ LIAR_MAX_128 = dict(n=128, seed=0, algorithm="byzantine", strategy="composite",
                     strategy_params=LIAR_MAX, engine="reference")
 
 
-def _capture_memos(mp, memos):
-    """Make ``_Run.truthful_claim`` record every memo it is handed."""
-    real = engine._Run.truthful_claim
-
-    def truthful_claim(run, v, memo):
-        if memo is not None:
-            memos[id(memo)] = memo
-        return real(run, v, memo)
-
-    mp.setattr(engine._Run, "truthful_claim", truthful_claim)
+def _fresh_reports(run, v):
+    """The claim tables ``v`` hears, each tallied afresh from what its
+    sender sends: a lie, nothing (silent) or its real H row."""
+    reports = {}
+    for u in run.topo.l_neighbors(v).tolist():
+        rep = None
+        if run.byz_mask[u]:
+            if not run.strategy.sends_reports:
+                continue
+            rep = run.strategy.setup_report(u, v)
+        reports[u] = claim_table(rep if rep is not None else run.truthful_report(u))
+    return reports
 
 
 def test_shared_claim_tables_reconstruct_like_fresh_tallies():
-    runs = {}
-    real = engine._Run.truthful_claim
-    for fresh in (False, True):
-        run = engine._Run(ExperimentConfig(**LIAR_MAX_128), trial=0)
-        with pytest.MonkeyPatch.context() as mp:
-            if fresh:  # the same setup with every report tallied afresh
-                mp.setattr(engine._Run, "truthful_claim",
-                           lambda run, v, memo: real(run, v, None))
-            run.run_setup(full=True)
-        runs[fresh] = run
-    shared, fresh = runs[False], runs[True]
-    assert shared.crashed.any()
-    np.testing.assert_array_equal(shared.crashed, fresh.crashed)
-    assert shared.views.keys() == fresh.views.keys()
-    for v, view in shared.views.items():
-        other = fresh.views[v]
-        assert view.members == other.members
-        for a in view.members:
-            for b in view.members:
-                assert view.h_adjacent(a, b) == other.h_adjacent(a, b)
+    run = engine._Run(ExperimentConfig(**LIAR_MAX_128), trial=0)
+    run.run_setup(full=True)
+    assert run.crashed.any()
+    for v in range(run.n):
+        # no trusted set: the scan checks every pair
+        res = reconstruct_local_topology(
+            v, claim_table(run.truthful_report(v)), _fresh_reports(run, v), run.k,
+            expected_degree=run.d)
+        conflict = isinstance(res, TopologyConflict)
+        assert run.crashed[v] == (conflict and not run.byz_mask[v])
+        assert (v in run.views) == (not conflict)
+        if not conflict:
+            view = run.views[v]
+            assert view.members == res.members
+            for a in view.members:
+                for b in view.members:
+                    assert view.h_adjacent(a, b) == res.h_adjacent(a, b)
+
+
+def _record_reconstructions(mp, calls):
+    """Make the engine's ``reconstruct_local_topology`` record its
+    (center, own, reports, trusted) arguments in ``calls``."""
+    real = engine.reconstruct_local_topology
+
+    def recorded(center, own, reports, k, expected_degree=None, trusted=frozenset()):
+        calls.append((center, own, reports, trusted))
+        return real(center, own, reports, k, expected_degree=expected_degree,
+                    trusted=trusted)
+
+    mp.setattr(engine, "reconstruct_local_topology", recorded)
+
+
+def _check_shared_tables(run, calls):
+    assert len(calls) == run.n
+    truth = {v: claim_table(run.truthful_report(v)) for v in range(run.n)}
+    held = {}  # truthful sender -> ids of the table objects receivers got
+    for center, own, reports, trusted in calls:
+        assert center in trusted
+        for u in trusted:
+            table = own if u == center else reports[u]
+            # read after the run, so a write to a shared table would show
+            assert table == truth[u]
+            held.setdefault(u, set()).add(id(table))
+    assert held.keys() == set(range(run.n))  # each node trusts itself
+    assert all(len(ids) == 1 for ids in held.values())
+    # every view holds its center's own table by reference, not a copy
+    views = [(run.views[c], c, own) for c, own, _, _ in calls if c in run.views]
+    assert views and all(view.tables[c] is own for view, c, own in views)
 
 
 def test_shared_claim_tables_are_never_mutated():
     cfg = ExperimentConfig(**LIAR_MAX_128)
-    memos = {}
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        _capture_memos(mp, memos)
+        _record_reconstructions(mp, calls)
         run = engine._Run(cfg, trial=0)
         run.run_setup(full=True)
-    (memo,) = memos.values()
-    truth = {v: claim_table(run.truthful_report(v)) for v in range(run.n)}
-    assert memo == truth
-    # every view holds its center's table by reference, not a copy
-    assert run.views and all(view.tables[v] is memo[v] for v, view in run.views.items())
+    _check_shared_tables(run, calls)
 
-    memos.clear()
+    # and the reference executor's whole run leaves them as they were
+    calls.clear()
+    runs = []
+
+    class Recorded(engine._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
     with pytest.MonkeyPatch.context() as mp:
-        _capture_memos(mp, memos)
+        _record_reconstructions(mp, calls)
+        mp.setattr(engine, "_Run", Recorded)
         run_experiment(cfg)
-    (memo,) = memos.values()
-    assert memo == truth
+    _check_shared_tables(runs[0], calls)
 
 
 def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):

@@ -135,7 +135,7 @@ def test_d2_generation_is_a_single_cycle():
     assert h.edges.shape == (4, 3)
     assert_hamiltonian_decomposition(h)
     for v in range(4):
-        assert h.degree(v) == 2
+        assert h.degrees[v] == 2
 
 
 def test_generation_row_count_and_decomposition():
@@ -191,7 +191,7 @@ def _assert_ports_list_neighbors(h):
         col = h.ports[:, v]
         assert col[:degs[v]].tolist() == nbrs[v] == h.neighbors(v).tolist()
         assert np.all(col[degs[v]:] == h.n)
-        assert h.degree(v) == degs[v]
+        assert h.degrees[v] == degs[v]
 
 
 def test_ports_on_irregular_fixtures(path6, tree_d8):

@@ -10,6 +10,12 @@ tests as oracles, and importing byzcount must not pay for them.
 
 The demos that read a ``RunResult`` run to completion, so a change to what
 it offers cannot silently break them.
+
+The ``reference_check`` workload's seed-0 trials must give the transcript
+hashes pinned in ``perfbench/hashes.json``.  No other test pins the
+reference executor's hardened late_injector transcripts, so without this a
+change to the reference path could move them unnoticed until a benchmark
+run.
 """
 
 import importlib.util
@@ -28,6 +34,7 @@ from byzcount.graph import generate_h_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def _src_env() -> dict:
@@ -142,3 +149,14 @@ def test_reference_run_calls_the_traced_layers_through_the_engine(monkeypatch):
     assert calls["reconstruct_local_topology"] == 64
     # honest nodes crash only at setup, each on one conflict
     assert calls["conflicts"] == res.crashed_honest > 0
+
+
+def test_reference_check_seed_0_gives_the_pinned_hashes(monkeypatch):
+    monkeypatch.syspath_prepend(str(WORKER.parent))  # the worker imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    pinned = worker.load_pins()["reference_check"]["0"]
+    trials = worker.build_trials("reference_check", 0, engine.ExperimentConfig)
+    assert len(trials) == len(pinned) == 10
+    assert {key: engine.run_experiment(cfg).transcript_hash for key, cfg in trials} == pinned
