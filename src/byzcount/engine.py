@@ -18,14 +18,17 @@ uint8 while every color of the phase is below 256.  The hardened
 protocol runs one subphase at a time (``_fast_subphase``).  It gathers
 an encoded key, color·2^bits + (n − sender), so the same max also gives
 the smallest sender of the top color, and keeps predecessors and
-forwarding logs.  Its Byzantine correction is narrow: only nodes that a
-sending Byzantine node, an injected extra or a lie report reaches are
-looked at, the best honest item there comes from the same key with
-Byzantine senders zeroed, and Python verifies only the Byzantine items
-that outrank it (lie receivers verify every item).  The two kernels share
-one copy of each rule: ``_injections`` asks the adversary, ``_count_sends``
-counts flood messages, and ``_close_subphase`` applies the continuation
-test, the decision and the fold.  The reference loop is
+forwarding logs.  The key is int32 when every color of the subphase fits
+it and int64 otherwise; rounds write into buffers kept for the run, and
+the log is three preallocated (i+1, n) arrays.  Its Byzantine correction
+is narrow: only nodes that a sending Byzantine node, an injected extra or
+a lie report reaches are looked at, the best honest item there comes
+from the same key with Byzantine senders zeroed, and Python verifies
+only the Byzantine items that outrank it (lie receivers verify every
+item).  The two kernels share one copy of each rule:
+``_collect_injections`` asks the adversary for every injection before
+flooding, ``_count_sends`` counts flood messages, and ``_close_subphase``
+applies the continuation test, the decision and the fold.  The reference loop is
 driven entirely by ``byzantine_node_step`` (the honest transition for
 nodes without a policy) plus ``deliver_round``.  Both consume identical
 color streams and fold identical per-subphase state into the transcript
@@ -46,6 +49,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,6 +347,7 @@ class _Run:
         self.per_phase: list[dict] = []
         self.hasher = hashlib.blake2b(digest_size=16)
         self.states: dict[int, NodeState] | None = None
+        self.round_buffers: dict[type, _RoundBuffers] = {}  # by verifying key dtype
 
         self.classification = classify_nodes(
             topo, self.byz_nodes, a_radius=cfg.a_radius,
@@ -377,7 +382,9 @@ class _Run:
         ``setup_report``.  A lie replaces that sender's table, a silent
         strategy drops it, and either way the sender leaves ``trusted``.
         The rest are rows of the symmetric H, so no two trusted tables
-        disagree and the conflict scan checks only pairs with a lie.  The
+        disagree and the conflict scan checks only pairs with a lie, and
+        a trusted table's length is its sender's H degree, so only lies
+        are summed for the length-d check.  The
         full setup tallies the n real rows once and shares them by
         reference with every receiver and view.  The lie-receiver setup
         tallies each report afresh: in a 2^16 liar run its 84 receivers
@@ -415,10 +422,11 @@ class _Run:
                 else:
                     continue
                 trusted.remove(u)
-            res = reconstruct_local_topology(
-                v, table(v), reports, self.k,
-                expected_degree=self.d, trusted=trusted)
-            if isinstance(res, TopologyConflict):
+            # a trusted report is a real H row, as long as its sender's degree
+            short = any(u in trusted for u in row[odd[row]].tolist())
+            res = None if short else reconstruct_local_topology(
+                v, table(v), reports, self.k, expected_degree=self.d, trusted=trusted)
+            if res is None or isinstance(res, TopologyConflict):
                 if not self.byz_mask[v]:
                     self.crashed[v] = True
             else:
@@ -464,55 +472,88 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _check_key_range(colors, n: int) -> None:
-    """Reject colors too large for the verifying key (see ``_fast_subphase``)."""
-    limit = 2**(63 - n.bit_length()) - 1
-    if np.abs(np.asarray(colors)).max(initial=0) >= limit:
+def _key_dtype(n: int, colors: np.ndarray, injected) -> type:
+    """The verifying key's dtype for a subphase with these ``colors`` and
+    ``injected`` colors (see ``_fast_subphase``): int32 when every |c|
+    satisfies |c|·2^bits + n < 2^31, else int64.  Colors too large even
+    for int64 are a ``ConfigError``."""
+    bits = n.bit_length()
+    top = max(int(np.abs(colors).max(initial=0)), *map(abs, injected), 0)
+    limit = 2**(63 - bits) - 1
+    if top >= limit:
         raise ConfigError(f"colors: need |color| < {limit} at n={n}")
+    return np.int32 if top * 2**bits + n < 2**31 else np.int64
+
+
+class _Masks(NamedTuple):
+    """What ``_correct_round`` reads of a subphase's fixed state, built once."""
+
+    proc: np.ndarray       # (n,) nodes that process: neither crashed nor suppressed
+    byz: np.ndarray        # (n + 1,) Byzantine nodes, False at the sentinel
+    lie: np.ndarray        # (n,) lie receivers
+    lie_nodes: np.ndarray  # the lie receivers, sorted
+
+
+class _RoundBuffers:
+    """The hardened kernel's per-round arrays for one key dtype, kept for
+    the whole run: a multi-MiB array allocated afresh for each subphase
+    can come from a fresh mapping and page-fault again on every use."""
+
+    def __init__(self, n: int, width: int, dtype):
+        self.key = np.zeros(n + 1, dtype=dtype)  # key[n] stays 0 under the sentinel ports
+        self.gathered = np.empty((width, n), dtype=dtype)
+        self.recv_col, self.recv_src, self.step = (np.empty(n, dtype=dtype) for _ in range(3))
+        self.pos, self.got = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+
+def _subphase_masks(run: _Run) -> _Masks:
+    lie_nodes = np.array(sorted(run.lie_rx_set), dtype=np.intp)
+    lie = np.zeros(run.n, dtype=bool)
+    lie[lie_nodes] = True
+    return _Masks(~run.crashed & ~run.suppressed, np.append(run.byz_mask, False),
+                  lie, lie_nodes)
 
 
 def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
-                   recv_src: np.ndarray, send, extras, verify) -> None:
+                   recv_src: np.ndarray, send, ext: np.ndarray, verify,
+                   masks: _Masks) -> None:
     """Verification in one round of the hardened fast path, in place.
 
     ``recv_col``/``recv_src`` hold each node's gathered top color and its
     smallest sender, decoded from ``key``; ``send`` is the round's
-    (mask, color, pred) and ``extras`` its (sender, target, color, pred)
-    injections.  A node that no sending Byzantine node, extra or lie
-    report touches keeps them and pays the query window min(hop, k) − 1
-    if it receives anything.  At a touched node the key with Byzantine
-    senders zeroed gives the best honest item, and ``verify(v, color,
-    sender, pred)`` runs only on the Byzantine items that outrank it, in
-    the (−color, sender) order with ports before extras on ties; the first
-    that passes wins, else the honest item does at the same query cost.
-    Lie receivers verify every item.
+    (mask, color, pred), the mask with a False sentinel entry n, and
+    ``ext`` its injected extras as rows (sender, target, color, pred).  A
+    node that no sending Byzantine node, extra or lie report touches
+    keeps them and pays the query window min(hop, k) − 1 if it receives
+    anything.  At a touched node the key with Byzantine senders zeroed
+    gives the best honest item, and ``verify(v, color, sender, pred)``
+    runs only on the Byzantine items that outrank it, in the (−color,
+    sender) order with ports before extras on ties; the first that passes
+    wins, else the honest item does at the same query cost.  Lie
+    receivers verify every item.
     """
-    n, ports, byz, cnt = run.n, run.topo.h.ports, run.byz_mask, run.counters
+    n, ports, cnt = run.n, run.topo.h.ports, run.counters
     bits = n.bit_length()
-    send_mask, send_color, send_pred = send
+    sending, send_color, send_pred = send
     wl = min(hop, run.k) - 1
-    lie = np.zeros(n + 1, dtype=bool)
-    lie[sorted(run.lie_rx_set)] = True
-    sending = np.append(send_mask, False)
-    byz_send = sending & np.append(byz, False)
+    byz_senders = run.byz_nodes[sending[run.byz_nodes]]
     # H is symmetric with multiplicity: b is on v's ports iff v is on b's
-    touched = lie.copy()
-    touched[ports[:, np.flatnonzero(byz_send)]] = True
-    ext = np.array(extras, dtype=np.int64).reshape(-1, 4).T  # s, dv, c, p
-    touched[ext[1]] = True
-    cnt.queries += wl * int((~touched[:n] & (recv_col >= 1)).sum())
-    proc = ~run.crashed & ~run.suppressed
-    hot = np.flatnonzero(touched[:n] & proc)
+    touched = np.unique(np.concatenate([masks.lie_nodes, ports[:, byz_senders].ravel(), ext[1]]))
+    touched = touched[:np.searchsorted(touched, n)]  # drop the sentinel
+    untouched_got = np.count_nonzero(recv_col >= 1) - np.count_nonzero(recv_col[touched] >= 1)
+    cnt.queries += wl * int(untouched_got)
+    hot = touched[masks.proc[touched]]
     if not hot.size:
         return
     pm = ports[:, hot]
-    kp, isb = key[pm], byz_send[pm]
-    full = lie[hot]
+    kp, spm = key[pm], sending[pm]
+    isb = spm & masks.byz[pm]
+    full = masks.lie[hot]
     # the best honest item's key; 0 if there is none or every item is verified
     hk = np.where(isb | full, 0, kp).max(axis=0)
-    q, r = np.nonzero((full & sending[pm] | isb & ((kp > hk) | (hk == 0))).T)
+    q, r = np.nonzero((full & spm | isb & ((kp > hk) | (hk == 0))).T)
     srcs = pm[r, q]
-    e = np.flatnonzero(proc[ext[1]])
+    e = np.flatnonzero(masks.proc[ext[1]])
     eq = np.searchsorted(hot, ext[1, e])
     keep = full[eq] | (hk[eq] == 0) | (ext[2, e] * (1 << bits) + n - ext[0, e] > hk[eq])
     e, eq = e[keep], eq[keep]
@@ -533,16 +574,38 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
     recv_src[hot] = src
 
 
-def _injections(run: _Run, ctx: RoundContext):
-    """Yield (b, inj) for every injection of every non-suppressed Byzantine
-    node b in round ``ctx``, in node order: the fast path's one call site
-    of ``injections_for``."""
+def _collect_injections(run: _Run, i: int, subphases: list[int], threshold: float,
+                        last: bool):
+    """Every injection of phase i's ``subphases``, asked for before any
+    flooding: the fast path's one call site of ``injections_for``.
+
+    Non-suppressed Byzantine nodes are asked in node order, subphase by
+    subphase and round by round, as the reference's node steps ask;
+    ``last`` marks the phase's last subphase as ``subphases[-1]``.  Returns
+    (replaces, extras), lists of rows keyed by round t:
+    ``replaces[t]`` holds (b, j, color, pred) that b broadcasts in round t
+    of subphase j instead of its own state, and ``extras[t]`` holds
+    (v, j, color, pred, b) that v receives from b in round t.  An extra
+    injected in round i + 1 is counted, then dropped.
+    """
+    replaces: dict[int, list[tuple[int, ...]]] = {}
+    extras: dict[int, list[tuple[int, ...]]] = {}
     if run.strategy is None:
-        return
-    for b in run.byz_nodes.tolist():
-        if not run.suppressed[b]:
-            for inj in run.strategy.injections_for(b, ctx):
-                yield b, inj
+        return replaces, extras
+    senders = [b for b in run.byz_nodes.tolist() if not run.suppressed[b]]
+    for j in subphases:
+        for t in range(1, i + 2):
+            ctx = RoundContext(phase=i, subphase=j, t=t, flood_rounds=i, threshold=threshold,
+                               last_subphase=last and j == subphases[-1])
+            for b in senders:
+                for inj in run.strategy.injections_for(b, ctx):
+                    c, p = int(inj.color), int(inj.pred)
+                    if inj.replace:
+                        replaces.setdefault(t, []).append((b, j, c, p))
+                    else:
+                        extras.setdefault(t + 1, []).extend(
+                            (v, j, c, p, b) for v in _delivered_extras(run, b, inj))
+    return replaces, extras
 
 
 def _count_sends(run: _Run, n_sent: int) -> None:
@@ -591,36 +654,21 @@ def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = 
     is one column of node-major (n, S) arrays and a round is one
     ``np.take`` + max per port row for the whole phase.  ``colors``
     (n, S) are scripted; by default column j is the draw of stream
-    (i, j + 1).  The phase's injections are collected first, in the
-    order a loop over subphases asks for them, so the state can be uint8
-    while every color of the phase lies in [0, 256) and int64 otherwise:
-    an injected color >= 256 is never clipped.  ``best`` holds a replaced
-    color clipped at 0, as sent, and equals the color last sent, so a
-    node sends exactly when its gathered top beats it.  Subphases are
-    then closed in order, the last one deciding if ``last``.
+    (i, j + 1).  The phase's injections are collected first, so the state
+    can be uint8 while every color of the phase lies in [0, 256) and int64
+    otherwise: an injected color >= 256 is never clipped.  ``best`` holds
+    a replaced color clipped at 0, as sent, and equals the color last
+    sent, so a node sends exactly when its gathered top beats it.
+    Subphases are then closed in order, the last one deciding if ``last``.
     """
     n, S = run.n, pp.subphases
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
     proc = ~run.crashed & ~run.suppressed
     idle = np.flatnonzero(~proc)
 
-    # per round t: replaces (b, column, color) and extras (target, column, color)
-    replaces: dict[int, list[tuple[int, int, int]]] = {}
-    extras: dict[int, list[tuple[int, int, int]]] = {}
-    if run.strategy is not None:
-        for j in range(S):
-            for t in range(1, i + 2):
-                ctx = RoundContext(phase=i, subphase=j + 1, t=t, flood_rounds=i,
-                                   threshold=pp.threshold, last_subphase=last and j == S - 1)
-                for b, inj in _injections(run, ctx):
-                    c = int(inj.color)
-                    if inj.replace:
-                        replaces.setdefault(t, []).append((b, j, c))
-                    else:
-                        extras.setdefault(t + 1, []).extend(
-                            (v, j, c) for v in _delivered_extras(run, b, inj))
-    injected = [c for lst in (*replaces.values(), *extras.values()) for (_, _, c) in lst]
-    small = all(0 <= c < 256 for c in injected)
+    replaces, extras = _collect_injections(run, i, list(range(1, S + 1)), pp.threshold, last)
+    small = all(0 <= row[2] < 256 for rows in (*replaces.values(), *extras.values())
+                for row in rows)
 
     live = proc & run.active
     best = np.zeros((n, S), dtype=np.uint8 if small else np.int64)
@@ -645,16 +693,16 @@ def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = 
                 np.take(masked, row, axis=0, out=tmp)
                 np.maximum(top, tmp, out=top)
             if t in extras:
-                v, j, c = np.array(extras[t], dtype=np.int64).T
-                np.maximum.at(top, (v, j), c.astype(dtype))
+                v, j, c = np.array(extras[t], dtype=np.int64).reshape(-1, 5)[:, :3].T
+                np.maximum.at(top, (v, j - 1), c.astype(dtype))
             top[idle] = 0
             np.maximum(k_rows[t - 1], top, out=k_rows[t - 1])
             np.greater(top, best, out=send)
             np.maximum(best, top, out=best)
-        for b, j, c in replaces.get(t, ()):
-            send[b, j] = True
-            best[b, j] = max(c, 0)
-            k_rows[1 if t == 1 else t - 1, b, j] = c
+        for b, j, c, _ in replaces.get(t, ()):
+            send[b, j - 1] = True
+            best[b, j - 1] = max(c, 0)
+            k_rows[1 if t == 1 else t - 1, b, j - 1] = c
         if t <= i:
             np.multiply(best, send, out=masked[:n])
             _count_sends(run, int(degrees @ send.sum(axis=1)))
@@ -675,74 +723,96 @@ def _fast_subphase(run: _Run, i: int, j: int, last: bool,
     color·2^bits + (n − sender), with 2^bits > n, through the H port
     matrix and takes the per-node max, which also names the smallest
     sender of the top color (0 stands for no sender, a color below 1 and
-    the sentinel).  Predecessors and forwarding logs are kept, and
-    ``_correct_round`` verifies the Byzantine items at the nodes they
-    reach, which include every processing target of an extra.  As in
-    ``honest_node_step``, a round-1 color below 1 (only scripts give one)
-    originates nothing.  ``best`` is also the color last sent, so a node
-    sends exactly when it gains.
+    the sentinel).  The subphase's injections are collected first, so the
+    key is int32 when every color and injected color fits it
+    (``_key_dtype``) and int64 otherwise, on the same code path.  Rounds
+    write into the run's ``_RoundBuffers`` through ``out=``.  The
+    forwarding log is three (i+1, n) arrays: row t holds the send mask,
+    color and pred of round t as sent after its replaces (the pred only
+    where the node sends).  ``_correct_round`` verifies the Byzantine
+    items at the nodes they reach, which include every processing target
+    of an extra.  As in ``honest_node_step``, a round-1 color below 1
+    (only scripts give one) originates nothing.  A node's logged color is
+    also the color it last sent, so it sends exactly when it gains.
     """
     n = run.n
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
-    proc = ~run.crashed & ~run.suppressed
-    _check_key_range(colors, n)
+    replaces, extras = _collect_injections(run, i, [j], threshold, last)
+    dtype = _key_dtype(n, colors, [row[2] for rows in (*replaces.values(), *extras.values())
+                                   for row in rows])
+    # extras as rows (sender, target, color, pred), keyed by the round they arrive
+    ext = {t: np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [4, 0, 2, 3]].T
+           for t, rows in extras.items()}
+    no_ext = np.zeros((4, 0), dtype=np.int64)
+    masks = _subphase_masks(run)
+    idle = np.flatnonzero(~masks.proc)
 
-    send = proc & run.active & (colors >= 1)
-    best = np.where(send, colors, 0).astype(np.int64)
-    best_src = np.full(n, ORIGIN, dtype=np.int64)
     k_rows = np.zeros((i + 1, n), dtype=np.int64)
-    k_rows[1] = best
-    # masked[u]: the color u sends clipped at 0, 0 if it sends nothing;
-    # masked[n] stays 0 under the sentinel ports
-    masked = np.zeros(n + 1, dtype=np.int64)
-    # key[u] = masked[u]·2^bits + (n − u) where masked[u] ≥ 1, else 0;
-    # as 2^bits > n, key >> bits is the color and n − (key & (2^bits − 1)) u
-    bits, rank = n.bit_length(), np.arange(n, -1, -1)
-    # per round: (send mask, color, pred) as sent, logged after the
-    # round's replaces and never written again
-    log: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    extras: list[tuple[int, int, int, int]] = []
+    # the forwarding log; the send mask's column n stays False under the sentinel ports
+    log_send = np.zeros((i + 1, n + 1), dtype=bool)
+    log_color = np.zeros((i + 1, n), dtype=dtype)
+    log_pred = np.full((i + 1, n), ORIGIN, dtype=np.int64)  # injected preds may be phantom ids
+    # key[u] = c·2^bits + (n − u) where u sends c ≥ 1, else 0; as
+    # 2^bits > n, key >> bits is the color and n − (key & (2^bits − 1)) the sender
+    bits, rank = n.bit_length(), np.arange(n, 0, -1, dtype=dtype)
+    low = (1 << bits) - 1
+    buf = run.round_buffers.get(dtype)
+    if buf is None:
+        buf = run.round_buffers[dtype] = _RoundBuffers(n, ports.shape[0], dtype)
+    key, gathered, recv_col, recv_src = buf.key, buf.gathered, buf.recv_col, buf.recv_src
+    pos, got, step = buf.pos, buf.got, buf.step
 
     def get_log(target: int, r: int):
-        ent = log.get(r)
-        if ent is None or not ent[0][target]:
+        if not log_send[r, target]:
             return None
-        return int(ent[1][target]), int(ent[2][target])
+        return int(log_color[r, target]), int(log_pred[r, target])
 
     def verify(v: int, c: int, s: int, p: int) -> bool:
         tok = Token(color=c, phase=i, subphase=j, hop=t - 1, src=s, pred=p)  # round t
         return run.verify_token(v, tok, i, j, get_log)
 
+    send = log_send[1, :n]
+    np.greater_equal(colors, 1, out=send)
+    send &= masks.proc & run.active
+    np.multiply(colors, send, out=log_color[1], casting="unsafe")
+    k_rows[1] = log_color[1]
     for t in range(1, i + 2):
         if t > 1:
-            sent = log[t - 1]
-            np.multiply(sent[1], sent[0], out=masked[:n])
-            np.maximum(masked, 0, out=masked)
-            gat = np.where(masked > 0, (masked << bits) + rank, 0)
-            top = gat[ports].max(axis=0)
-            recv_src = n - (top & ((1 << bits) - 1))
-            top >>= bits
-            recv_col = np.where(proc, top, 0)
-            _correct_round(run, t - 1, gat, recv_col, recv_src, sent, extras, verify)
-            got = proc & (recv_col >= 1)
-            np.maximum(k_rows[t - 1], np.where(got, recv_col, 0), out=k_rows[t - 1])
-            send = got & (recv_col > best)
-            np.copyto(best, recv_col, where=send)
-            np.copyto(best_src, recv_src, where=send)
-        ctx = RoundContext(phase=i, subphase=j, t=t, flood_rounds=i,
-                           threshold=threshold, last_subphase=last)
-        extras = []
-        for b, inj in _injections(run, ctx):  # round i+1's extras are counted, then dropped
-            _check_key_range([inj.color], n)
-            if inj.replace:
-                send[b], best[b], best_src[b] = True, inj.color, inj.pred
-                k_rows[1 if t == 1 else t - 1, b] = inj.color
-            else:
-                extras.extend((b, dst, int(inj.color), int(inj.pred))
-                              for dst in _delivered_extras(run, b, inj))
+            sent = log_send[t - 1], log_color[t - 1], log_pred[t - 1]
+            np.greater(sent[1], 0, out=pos)
+            pos &= sent[0][:n]  # u sends a color >= 1
+            np.left_shift(sent[1], bits, out=key[:n])
+            key[:n] |= rank
+            key[:n] *= pos
+            np.take(key, ports, out=gathered, mode="clip")
+            np.max(gathered, axis=0, out=recv_col)
+            np.bitwise_and(recv_col, low, out=recv_src)
+            np.subtract(n, recv_src, out=recv_src)
+            np.right_shift(recv_col, bits, out=recv_col)
+            recv_col[idle] = 0
+            _correct_round(run, t - 1, key, recv_col, recv_src, sent, ext.get(t, no_ext),
+                           verify, masks)
+            # k_{t-1} = max(k_{t-1}, recv_col, 0): a color below 1 counts as 0
+            np.maximum(k_rows[t - 1], recv_col, out=k_rows[t - 1])
+            np.maximum(k_rows[t - 1], 0, out=k_rows[t - 1])
+            if t <= i:
+                np.greater_equal(recv_col, 1, out=got)
+                send = log_send[t, :n]
+                np.greater(recv_col, sent[1], out=send)
+                send &= got
+                # color = where(send, recv_col, old color) without numpy's
+                # masked copy, which branches per node and costs ~7x as much
+                # on a round's scattered mask; exact under wrap-around
+                np.subtract(recv_col, sent[1], out=step)
+                step *= send
+                np.add(sent[1], step, out=log_color[t])
+                log_pred[t] = recv_src  # read only where the node sends
+        for b, _, c, p in replaces.get(t, ()):
+            if t <= i:
+                log_send[t, b], log_color[t, b], log_pred[t, b] = True, c, p
+            k_rows[1 if t == 1 else t - 1, b] = c
         if t <= i:
-            log[t] = (send, best.copy(), best_src.copy())
-            _count_sends(run, int(degrees[send].sum()))
+            _count_sends(run, int(degrees @ log_send[t, :n]))
 
     _close_subphase(run, i, j, last, k_rows, threshold)
     return k_rows

@@ -395,13 +395,16 @@ def reconstruct_local_topology(
     k : int
         Ball radius to reconstruct.
     expected_degree : int, optional
-        When set, any report, trusted or not, whose multiplicities do not
-        sum to it is itself a conflict.
+        When set, any untrusted report whose multiplicities do not sum to
+        it is itself a conflict.
     trusted : collection of int, optional
-        Holders whose claim table is their real row of H.  H is symmetric
-        with multiplicity, so trusted x, y have ``T_x.get(y, 0) ==
-        T_y.get(x, 0)``: the scan skips such pairs and finds the same first
-        conflict and view.  Empty (the default) scans every pair.
+        Holders whose claim table is their real row of H and, when
+        ``expected_degree`` is set, of that length: a real row's length is
+        its holder's H degree, so the caller checks it once per holder
+        rather than once per receiver.  H is symmetric with multiplicity,
+        so trusted x, y have ``T_x.get(y, 0) == T_y.get(x, 0)``: the scan
+        skips such pairs and finds the same first conflict and view.
+        Empty (the default) checks every report and scans every pair.
 
     Returns
     -------
@@ -413,7 +416,8 @@ def reconstruct_local_topology(
     """
     claims = {center: own}
     for reporter, table in reports.items():
-        if expected_degree is not None and sum(table.values()) != expected_degree:
+        if (expected_degree is not None and reporter not in trusted
+                and sum(table.values()) != expected_degree):
             return TopologyConflict(center=center, a=int(reporter), b=int(reporter),
                                     detail="report length != d")
         claims[int(reporter)] = table

@@ -26,8 +26,9 @@ from byzcount.engine import (
     write_trial_csv,
 )
 from byzcount.graph import HMultigraph, augment_small_world, classify_nodes, generate_h_graph
-from byzcount.protocol import (ORIGIN, NodeState, RoundContext, Token, TopologyConflict,
-                               claim_table, honest_node_step, reconstruct_local_topology)
+from byzcount.protocol import (ORIGIN, NodeState, PhaseParams, RoundContext, Token,
+                               TopologyConflict, claim_table, honest_node_step,
+                               reconstruct_local_topology)
 
 
 def _tok(color, hop, src, *, phase=1, subphase=1, pred=ORIGIN):
@@ -396,6 +397,9 @@ LIAR_LATE = {"parts": [{"name": "topology_liar"}, {"name": "late_injector"}]}
           subphase_factor="phase"), "ceae2ed1df6dad0539b4c0f520a63b94"),
     (dict(n=1024, seed=1, algorithm="byzantine", strategy="composite",
           strategy_params=LIAR_LATE), "7f9c2dba77805f1332a9b30f2c4e658e"),
+    # a color too large for the int32 verifying key: the int64 key
+    (dict(n=512, seed=0, algorithm="byzantine", strategy="max_injector",
+          strategy_params={"magnitude": 2**40}), "4298e653bbb3bb1fdcc5ba53a4c7e307"),
 ])
 def test_fast_transcript_hashes_are_pinned(cfg, digest):
     # golden digests of the fast executor, covering the paths no reference
@@ -427,12 +431,13 @@ def _fresh_reports(run, v):
     return reports
 
 
-def test_shared_claim_tables_reconstruct_like_fresh_tallies():
-    run = engine._Run(ExperimentConfig(**LIAR_MAX_128), trial=0)
+def _assert_setup_matches_fresh_tallies(run):
+    """A full setup's crashes and views equal those of reconstructing
+    each node from fresh tallies, every report length-checked."""
     run.run_setup(full=True)
     assert run.crashed.any()
     for v in range(run.n):
-        # no trusted set: the scan checks every pair
+        # no trusted set: every report's length is summed, every pair scanned
         res = reconstruct_local_topology(
             v, claim_table(run.truthful_report(v)), _fresh_reports(run, v), run.k,
             expected_degree=run.d)
@@ -445,6 +450,18 @@ def test_shared_claim_tables_reconstruct_like_fresh_tallies():
             for a in view.members:
                 for b in view.members:
                     assert view.h_adjacent(a, b) == res.h_adjacent(a, b)
+
+
+def test_shared_claim_tables_reconstruct_like_fresh_tallies():
+    _assert_setup_matches_fresh_tallies(engine._Run(ExperimentConfig(**LIAR_MAX_128), trial=0))
+
+
+def test_short_real_rows_crash_like_fresh_tallies(tree_d8):
+    # the setup checks a real row's length from H's degrees, once per sender
+    cfg = ExperimentConfig(n=tree_d8.n, seed=3, algorithm="byzantine",
+                           strategy="max_injector", engine="reference")
+    _assert_setup_matches_fresh_tallies(
+        engine._Run(cfg, trial=0, topo=augment_small_world(tree_d8)))
 
 
 def _record_reconstructions(mp, calls):
@@ -637,6 +654,25 @@ def test_basic_executors_agree_on_multi_subphase_phases_with_extras(monkeypatch)
     assert any(subphase > 1 for _, subphase, _, _ in records["fast"])
 
 
+@pytest.mark.parametrize("algorithm", ["basic", "byzantine"])
+def test_an_extra_that_reaches_no_one_is_only_counted(algorithm):
+    # node 3 aims an extra at itself, outside its own G-row, every round
+    topo = augment_small_world(generate_h_graph(64, 8, seed=1))
+    cfg = ExperimentConfig(n=64, seed=1, algorithm=algorithm)
+    colors = engine._Run(cfg, 0, topo=topo).colors(2, 1)
+    k_rows = {}
+    for script in ({}, {(t, 3): [Injection(color=5, pred=0, targets=(3,))] for t in (1, 2, 3)}):
+        run = engine._Run(cfg, 0, topo=topo, byz=np.array([3]))
+        run.strategy = _Scripted(script)
+        if algorithm == "basic":
+            pp = PhaseParams(phase=2, alpha=1, subphases=1, threshold=1.0)
+            k_rows[len(script)] = engine._fast_phase(run, 2, pp, colors[:, None])[:, :, 0]
+        else:
+            k_rows[len(script)] = engine._fast_subphase(run, 2, 1, False, colors, 1.0)
+        assert run.counters.dropped == len(script)
+    np.testing.assert_array_equal(k_rows[0], k_rows[3])
+
+
 # ---------------------------------------------------------------------------
 # the narrow Byzantine correction against the sorted-inbox rule
 # ---------------------------------------------------------------------------
@@ -764,7 +800,7 @@ def _compare_with_sorted_inbox(real, salt):
     reference on the same round and asserts the same outcome: recv_col,
     recv_src where a node processes, the query and rejection deltas and
     the sequence of verify calls."""
-    def checked(run, hop, key, recv_col, recv_src, send, extras, verify):
+    def checked(run, hop, key, recv_col, recv_src, send, ext, verify, masks):
         calls = {"new": [], "ref": []}
 
         def recording(side):
@@ -775,10 +811,13 @@ def _compare_with_sorted_inbox(real, salt):
 
         cnt = run.counters
         before = cnt.queries, cnt.rejected
-        ref_col, ref_src = _sorted_inbox_round(run, hop, send, extras, recording("ref"))
+        send_mask, send_color, send_pred = send
+        extras = [tuple(row) for row in ext.T.tolist()]
+        ref_col, ref_src = _sorted_inbox_round(run, hop, (send_mask[:run.n], send_color, send_pred),
+                                               extras, recording("ref"))
         ref_delta = cnt.queries - before[0], cnt.rejected - before[1]
         cnt.queries, cnt.rejected = before
-        real(run, hop, key, recv_col, recv_src, send, extras, recording("new"))
+        real(run, hop, key, recv_col, recv_src, send, ext, recording("new"), masks)
         assert calls["new"] == calls["ref"]
         assert (cnt.queries - before[0], cnt.rejected - before[1]) == ref_delta
         np.testing.assert_array_equal(recv_col, ref_col)
@@ -808,6 +847,17 @@ def test_narrow_correction_equals_the_sorted_inbox_rule(case):
             engine._correct_round, case["salt"]))
         engine._fast_subphase(run, case["phase"], 1, False,
                               np.array(case["colors"], dtype=np.int64), 0.0)
+
+
+# at n=128 (bits = 8) the key c·2^8 + n fits int32 up to c = 2^23 − 1
+@pytest.mark.parametrize("magnitude,dtype", [(2**23 - 1, np.int32), (2**23, np.int64)])
+def test_executors_agree_on_both_sides_of_the_int32_key(magnitude, dtype, monkeypatch):
+    chosen = []
+    real = engine._key_dtype
+    monkeypatch.setattr(engine, "_key_dtype", lambda *a: chosen.append(real(*a)) or chosen[-1])
+    _assert_executors_agree(n=128, seed=0, algorithm="byzantine", strategy="max_injector",
+                            strategy_params={"magnitude": magnitude})
+    assert chosen and set(chosen) == {dtype}
 
 
 def test_colors_too_large_for_the_verifying_key_are_a_config_error():

@@ -15,7 +15,8 @@ The ``reference_check`` workload's seed-0 trials must give the transcript
 hashes pinned in ``perfbench/hashes.json``.  No other test pins the
 reference executor's hardened late_injector transcripts, so without this a
 change to the reference path could move them unnoticed until a benchmark
-run.
+run.  The ``attacked_large`` seed-0 trial is checked the same way: it is
+the only pinned run of the hardened fast path at n = 2^16.
 """
 
 import importlib.util
@@ -151,12 +152,21 @@ def test_reference_run_calls_the_traced_layers_through_the_engine(monkeypatch):
     assert calls["conflicts"] == res.crashed_honest > 0
 
 
-def test_reference_check_seed_0_gives_the_pinned_hashes(monkeypatch):
+def _assert_seed_0_pins(monkeypatch, workload: str, size: int) -> None:
+    """Run ``workload``'s seed-0 trials; compare with ``hashes.json``, read only."""
     monkeypatch.syspath_prepend(str(WORKER.parent))  # the worker imports its siblings
     spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    pinned = worker.load_pins()["reference_check"]["0"]
-    trials = worker.build_trials("reference_check", 0, engine.ExperimentConfig)
-    assert len(trials) == len(pinned) == 10
+    pinned = worker.load_pins()[workload]["0"]
+    trials = worker.build_trials(workload, 0, engine.ExperimentConfig)
+    assert len(trials) == len(pinned) == size
     assert {key: engine.run_experiment(cfg).transcript_hash for key, cfg in trials} == pinned
+
+
+def test_reference_check_seed_0_gives_the_pinned_hashes(monkeypatch):
+    _assert_seed_0_pins(monkeypatch, "reference_check", 10)
+
+
+def test_attacked_large_seed_0_gives_the_pinned_hash(monkeypatch):
+    _assert_seed_0_pins(monkeypatch, "attacked_large", 1)
