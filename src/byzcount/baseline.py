@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _write_node_csv
-from .graph import Topology
+from .graph import Topology, _mask_from_idx
 from .protocol import draw_colors
 from .rng import stream
 
@@ -62,12 +62,9 @@ def run_support_estimation(topo: Topology,
         rounds = 4 * math.ceil(math.log2(n)) + 10
     rng = stream(seed, "trial", 0)
     samples = draw_colors(rng, n)
-    byz_mask = np.zeros(n, dtype=bool)
-    if byz is not None:
-        byz_idx = np.asarray(byz, dtype=np.int64)
-        byz_mask[byz_idx] = True
-        if byz_value is not None:
-            samples[byz_idx] = int(byz_value)
+    byz_mask = _mask_from_idx(n, [] if byz is None else byz)
+    if byz_value is not None:
+        samples[byz_mask] = int(byz_value)
 
     best = samples.copy()
     last_sent = np.zeros(n, dtype=np.int64)

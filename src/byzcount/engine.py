@@ -9,30 +9,28 @@ constant-length windows after each flooding round and are charged to the
 round count without being simulated as individual messages.
 
 Two interchangeable executors cover every run: a vectorized fast path
-and a per-node reference loop.  Each fast-path round is one gather
-through the padded H port matrix and a max over each node's ports.  The
-basic protocol floods every subphase of a phase at once
-(``_fast_phase``): its subphases are independent given the phase's
-active set, so each is one column of node-major (n, S) color arrays,
-uint8 while every color of the phase is below 256.  The hardened
-protocol runs one subphase at a time (``_fast_subphase``).  It gathers
-an encoded key, color·2^bits + (n − sender), so the same max also gives
-the smallest sender of the top color, and keeps predecessors and
-forwarding logs.  The key is int32 when every color of the subphase fits
-it and int64 otherwise; rounds write into buffers kept for the run, and
-the log is three preallocated (i+1, n) arrays.  Its Byzantine correction
-is narrow: only nodes that a sending Byzantine node, an injected extra or
-a lie report reaches are looked at, the best honest item there comes
-from the same key with Byzantine senders zeroed, and Python verifies
-only the Byzantine items that outrank it (lie receivers verify every
-item).  The two kernels share one copy of each rule:
-``_collect_injections`` asks the adversary for every injection before
-flooding, ``_count_sends`` counts flood messages, and ``_close_subphase``
-applies the continuation test, the decision and the fold.  The reference loop is
-driven entirely by ``byzantine_node_step`` (the honest transition for
-nodes without a policy) plus ``deliver_round``.  Both consume identical
-color streams and fold identical per-subphase state into the transcript
-hash, so equality of results is testable.
+and a per-node reference loop.  The fast path has one flood kernel
+(``_fast_flood``).  It floods subphases as columns of node-major (n, S)
+arrays; each round is one gather through the padded H port matrix and a
+max over each node's ports.  The basic protocol floods every subphase of
+a phase at once, since they are independent given the phase's active
+set; its key is the color.  The hardened protocol floods one subphase, as
+one column, with the key color·2^bits + (n − sender), so the same max
+also gives the smallest sender of the top color.  The key is the
+narrowest of uint8, int32 and int64 that holds every color of the flood.
+The hardened protocol adds only its forwarding log, three (i+1, n)
+arrays, and a narrow Byzantine correction: only nodes that a sending
+Byzantine node, an injected extra or a lie report reaches are looked at,
+the best honest item there comes from the same key with Byzantine
+senders zeroed, and Python verifies only the Byzantine items that outrank
+it (lie receivers verify every item).  ``_collect_injections`` asks the
+adversary for every injection before flooding, ``_count_sends`` counts
+flood messages, and ``_close_subphase`` applies the continuation test,
+the decision and the fold.  The reference loop is driven entirely by
+``byzantine_node_step`` (the honest transition for nodes without a
+policy) plus ``deliver_round``.  Both consume identical color streams and
+fold identical per-subphase state into the transcript hash, so equality
+of results is testable.
 The reference copies one node state per node step and keeps forwarding
 logs per subphase, so it grows linearly with run length.  Its setup shares
 the real H rows, tallied once, patches in only Byzantine reports and scans
@@ -63,7 +61,6 @@ from .graph import (
 from .protocol import (
     ORIGIN,
     NodeState,
-    PhaseParams,
     RoundContext,
     Token,
     TopologyConflict,
@@ -86,7 +83,6 @@ __all__ = [
     "run_experiment",
     "run_trials",
     "deliver_round",
-    "verification_subround_scheduler",
     "honest_estimates",
     "simulate_subphase",
     "write_trial_csv",
@@ -231,22 +227,6 @@ class _Counters:
     rejected: int = 0         # tokens failing verification
 
 
-def verification_subround_scheduler(t: int, k: int) -> tuple[tuple[str, int], ...]:
-    """Fixed query/answer delivery steps appended to flooding round t.
-
-    Each of the up-to-(k-1) chain depths gets one query step and one
-    answer step, giving a constant window of 2(k-1) steps regardless of
-    how many queries are actually issued (no timing side channel).
-    """
-    if t < 1:
-        raise ValueError("round index must be >= 1")
-    steps = []
-    for depth in range(1, k):
-        steps.append(("query", depth))
-        steps.append(("answer", depth))
-    return tuple(steps)
-
-
 def deliver_round(outboxes, topo: Topology, counters: _Counters) -> dict[int, list[Token]]:
     """Move every round-t message into its target's round t+1 inbox.
 
@@ -347,7 +327,6 @@ class _Run:
         self.per_phase: list[dict] = []
         self.hasher = hashlib.blake2b(digest_size=16)
         self.states: dict[int, NodeState] | None = None
-        self.round_buffers: dict[type, _RoundBuffers] = {}  # by verifying key dtype
 
         self.classification = classify_nodes(
             topo, self.byz_nodes, a_radius=cfg.a_radius,
@@ -472,17 +451,21 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _key_dtype(n: int, colors: np.ndarray, injected) -> type:
-    """The verifying key's dtype for a subphase with these ``colors`` and
-    ``injected`` colors (see ``_fast_subphase``): int32 when every |c|
-    satisfies |c|·2^bits + n < 2^31, else int64.  Colors too large even
-    for int64 are a ``ConfigError``."""
-    bits = n.bit_length()
-    top = max(int(np.abs(colors).max(initial=0)), *map(abs, injected), 0)
+def _key_dtype(n: int, bits: int, colors: np.ndarray, injected) -> type:
+    """The flood key's dtype for round-1 ``colors`` (none negative) and
+    ``injected`` colors, where a key is color·2^bits + (n − sender), the
+    sender term only when bits > 0 (see ``_fast_flood``): uint8 when no
+    injected color is negative and every key is below 2^8, int32 below
+    2^31, else int64.  Colors too large even for int64 are a
+    ``ConfigError``."""
+    top = max(int(colors.max(initial=0)), *map(abs, injected), 0)
     limit = 2**(63 - bits) - 1
     if top >= limit:
         raise ConfigError(f"colors: need |color| < {limit} at n={n}")
-    return np.int32 if top * 2**bits + n < 2**31 else np.int64
+    key = top * 2**bits + (n if bits else 0)
+    if key < 2**8 and min(injected, default=0) >= 0:
+        return np.uint8
+    return np.int32 if key < 2**31 else np.int64
 
 
 class _Masks(NamedTuple):
@@ -492,18 +475,6 @@ class _Masks(NamedTuple):
     byz: np.ndarray        # (n + 1,) Byzantine nodes, False at the sentinel
     lie: np.ndarray        # (n,) lie receivers
     lie_nodes: np.ndarray  # the lie receivers, sorted
-
-
-class _RoundBuffers:
-    """The hardened kernel's per-round arrays for one key dtype, kept for
-    the whole run: a multi-MiB array allocated afresh for each subphase
-    can come from a fresh mapping and page-fault again on every use."""
-
-    def __init__(self, n: int, width: int, dtype):
-        self.key = np.zeros(n + 1, dtype=dtype)  # key[n] stays 0 under the sentinel ports
-        self.gathered = np.empty((width, n), dtype=dtype)
-        self.recv_col, self.recv_src, self.step = (np.empty(n, dtype=dtype) for _ in range(3))
-        self.pos, self.got = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
 
 def _subphase_masks(run: _Run) -> _Masks:
@@ -646,175 +617,144 @@ def _close_subphase(run: _Run, i: int, j: int, last: bool, k_rows: np.ndarray,
     run.fold(i, j, k_rows)
 
 
-def _fast_phase(run: _Run, i: int, pp: PhaseParams, colors: np.ndarray | None = None,
-                last: bool = True) -> np.ndarray:
-    """Every subphase of basic phase i at once; returns k_rows as (i+1, n, S).
+class _ForwardingLog:
+    """What every node sent in each round of one hardened subphase, as
+    three (i+1, n) arrays; row t holds round t's send mask, color and
+    pred as sent after its replaces (the pred only where the node sends)."""
 
-    The subphases are independent given the phase's active set, so each
-    is one column of node-major (n, S) arrays and a round is one
-    ``np.take`` + max per port row for the whole phase.  ``colors``
-    (n, S) are scripted; by default column j is the draw of stream
-    (i, j + 1).  The phase's injections are collected first, so the state
-    can be uint8 while every color of the phase lies in [0, 256) and int64
-    otherwise: an injected color >= 256 is never clipped.  ``best`` holds
-    a replaced color clipped at 0, as sent, and equals the color last
-    sent, so a node sends exactly when its gathered top beats it.
-    Subphases are then closed in order, the last one deciding if ``last``.
+    def __init__(self, i: int, n: int, dtype):
+        self.send = np.zeros((i + 1, n + 1), dtype=bool)  # column n stays False under the sentinel ports
+        self.color = np.zeros((i + 1, n), dtype=dtype)
+        self.pred = np.full((i + 1, n), ORIGIN, dtype=np.int64)  # injected preds may be phantom ids
+
+    def record(self, t: int, send: np.ndarray, color: np.ndarray,
+               pred: np.ndarray | None, replaces) -> None:
+        self.send[t, :-1] = send
+        self.color[t] = color
+        if pred is not None:
+            self.pred[t] = pred
+        for b, _, c, p in replaces:  # a replaced color below 1 is logged as sent
+            self.color[t, b], self.pred[t, b] = c, p
+
+    def row(self, t: int):
+        return self.send[t], self.color[t], self.pred[t]
+
+    def get(self, target: int, r: int):
+        if not self.send[r, target]:
+            return None
+        return int(self.color[r, target]), int(self.pred[r, target])
+
+
+def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
+                colors: np.ndarray | None = None) -> np.ndarray:
+    """Subphases ``js`` of phase i on the vectorized path, one column each;
+    returns k_rows as (i+1, n, S).
+
+    The subphases are independent given the phase's active set, so the
+    basic protocol floods a whole phase as node-major (n, S) arrays; the
+    hardened one floods one subphase, as one column.  ``colors`` (n, S)
+    are scripted; by default column j is the draw of stream (i, js[j]).
+    Each round gathers the key through the H port matrix and takes the
+    per-node max: one ``np.take`` over all ports for one column, one per
+    port row otherwise.  The basic key is the color.  The hardened key is
+    color·2^bits + (n − sender), with 2^bits > n, so the same max also
+    names the smallest sender of the top color (0 stands for no sender, a
+    color below 1 and the sentinel); it adds a ``_ForwardingLog`` and
+    ``_correct_round``, which verifies the Byzantine items at the nodes
+    they reach, including every processing target of an extra.  The basic
+    protocol maxes its extras in unverified.  The injections are
+    collected first, so the key is the narrowest of uint8, int32 and
+    int64 that holds every color of the flood (``_key_dtype``), on the
+    same code path.  ``best`` holds each node's top color so far, a
+    replaced color clipped at 0, and equals the color it last sent, so a
+    node sends exactly when its gathered top beats it.  As in
+    ``honest_node_step``, a round-1 color below 1 (only scripts give one)
+    originates nothing.  The buffers are freed before the subphases are
+    closed in order, the last one deciding if ``last``.
     """
-    n, S = run.n, pp.subphases
+    n, S = run.n, len(js)
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
-    proc = ~run.crashed & ~run.suppressed
-    idle = np.flatnonzero(~proc)
-
-    replaces, extras = _collect_injections(run, i, list(range(1, S + 1)), pp.threshold, last)
-    small = all(0 <= row[2] < 256 for rows in (*replaces.values(), *extras.values())
-                for row in rows)
-
-    live = proc & run.active
-    best = np.zeros((n, S), dtype=np.uint8 if small else np.int64)
-    for j in range(S):
-        c = run.colors(i, j + 1) if colors is None else colors[:, j]
+    replaces, extras = _collect_injections(run, i, js, threshold, last)
+    masks = _subphase_masks(run)
+    idle = np.flatnonzero(~masks.proc)
+    bits = n.bit_length() if run.cfg.algorithm == "byzantine" else 0
+    injected = [row[2] for rows in (*replaces.values(), *extras.values()) for row in rows]
+    live = masks.proc & run.active
+    best = np.zeros((n, S), dtype=np.uint8)
+    for col, j in enumerate(js):  # column by column: an int64 (n, S) copy costs peak RSS
+        c = run.colors(i, j) if colors is None else colors[:, col]
         c = np.where(live & (c >= 1), c, 0)
-        if best.dtype == np.uint8 and c.max(initial=0) >= 256:
-            best = best.astype(np.int64)
-        best[:, j] = c
-    dtype = best.dtype
+        best = best.astype(np.promote_types(best.dtype, _key_dtype(n, bits, c, injected)),
+                           copy=False)
+        best[:, col] = c
+    dtype, send = best.dtype, best > 0
+    # extras as rows (sender, target, color, pred, column), keyed by the round they arrive
+    ext, no_ext = {}, np.zeros((5, 0), dtype=np.int64)
+    for t, rows in extras.items():
+        ext[t] = np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [4, 0, 2, 3, 1]].T
+        ext[t][4] -= js[0]
+
     k_rows = np.zeros((i + 1, n, S), dtype=dtype)
     k_rows[1] = best
-    send = best > 0
-    masked = np.zeros((n + 1, S), dtype=dtype)  # row n stays 0 under the sentinel ports
+    key = np.zeros((n + 1, S), dtype=dtype)  # row n stays 0 under the sentinel ports
     top = np.empty((n, S), dtype=dtype)
-    tmp = np.empty((n, S), dtype=dtype)
+    buf = np.empty((ports.shape[0], n) if S == 1 else (n, S), dtype=dtype)
+    log = None
+    if bits:
+        log = _ForwardingLog(i, n, dtype)
+        low = (1 << bits) - 1
+        rank = np.arange(n, 0, -1, dtype=dtype)[:, None]
+        recv_src, pos = np.empty(n, dtype=dtype), np.empty((n, 1), dtype=bool)
+
+        def verify(v: int, c: int, s: int, p: int) -> bool:
+            tok = Token(color=c, phase=i, subphase=js[0], hop=t - 1, src=s, pred=p)  # round t
+            return run.verify_token(v, tok, i, js[0], log.get)
 
     for t in range(1, i + 2):
         if t > 1:
-            np.take(masked, ports[0], axis=0, out=top)
-            for row in ports[1:]:
-                np.take(masked, row, axis=0, out=tmp)
-                np.maximum(top, tmp, out=top)
-            if t in extras:
-                v, j, c = np.array(extras[t], dtype=np.int64).reshape(-1, 5)[:, :3].T
-                np.maximum.at(top, (v, j - 1), c.astype(dtype))
-            top[idle] = 0
+            if S == 1:
+                np.take(key[:, 0], ports, out=buf, mode="clip")
+                np.max(buf, axis=0, out=top[:, 0])
+            else:
+                np.take(key, ports[0], axis=0, out=top, mode="clip")
+                for row in ports[1:]:
+                    np.take(key, row, axis=0, out=buf, mode="clip")
+                    np.maximum(top, buf, out=top)
+            if log is None:
+                if t in ext:
+                    np.maximum.at(top, (ext[t][1], ext[t][4]), ext[t][2].astype(dtype))
+                top[idle] = 0
+            else:
+                recv = top[:, 0]
+                np.bitwise_and(recv, low, out=recv_src)
+                np.subtract(n, recv_src, out=recv_src)
+                np.right_shift(recv, bits, out=recv)
+                recv[idle] = 0
+                _correct_round(run, t - 1, key[:, 0], recv, recv_src, log.row(t - 1),
+                               ext.get(t, no_ext)[:4], verify, masks)
+                np.maximum(recv, 0, out=recv)  # a verified extra may carry a color below 1
             np.maximum(k_rows[t - 1], top, out=k_rows[t - 1])
             np.greater(top, best, out=send)
             np.maximum(best, top, out=best)
         for b, j, c, _ in replaces.get(t, ()):
-            send[b, j - 1] = True
-            best[b, j - 1] = max(c, 0)
-            k_rows[1 if t == 1 else t - 1, b, j - 1] = c
+            col = j - js[0]
+            send[b, col], best[b, col] = True, max(c, 0)
+            k_rows[1 if t == 1 else t - 1, b, col] = c
         if t <= i:
-            np.multiply(best, send, out=masked[:n])
+            np.multiply(best, send, out=key[:n])
+            if log is not None:
+                log.record(t, send[:, 0], best[:, 0], recv_src if t > 1 else None,
+                           replaces.get(t, ()))
+                np.greater(key[:n], 0, out=pos)
+                key[:n] <<= bits
+                key[:n] |= rank
+                key[:n] *= pos
             _count_sends(run, int(degrees @ send.sum(axis=1)))
 
-    del masked, top, tmp  # before the closes' int64 copies, for peak RSS
-    for j in range(S):
-        _close_subphase(run, i, j + 1, last and j == S - 1,
-                        k_rows[:, :, j].astype(np.int64), pp.threshold)
-    return k_rows
-
-
-def _fast_subphase(run: _Run, i: int, j: int, last: bool,
-                   colors: np.ndarray, threshold: float) -> np.ndarray:
-    """One subphase of hardened phase i on the vectorized path; returns k_rows.
-
-    Only the hardened protocol runs here; the basic one floods a whole
-    phase at once in ``_fast_phase``.  Each round gathers the key
-    color·2^bits + (n − sender), with 2^bits > n, through the H port
-    matrix and takes the per-node max, which also names the smallest
-    sender of the top color (0 stands for no sender, a color below 1 and
-    the sentinel).  The subphase's injections are collected first, so the
-    key is int32 when every color and injected color fits it
-    (``_key_dtype``) and int64 otherwise, on the same code path.  Rounds
-    write into the run's ``_RoundBuffers`` through ``out=``.  The
-    forwarding log is three (i+1, n) arrays: row t holds the send mask,
-    color and pred of round t as sent after its replaces (the pred only
-    where the node sends).  ``_correct_round`` verifies the Byzantine
-    items at the nodes they reach, which include every processing target
-    of an extra.  As in ``honest_node_step``, a round-1 color below 1
-    (only scripts give one) originates nothing.  A node's logged color is
-    also the color it last sent, so it sends exactly when it gains.
-    """
-    n = run.n
-    ports, degrees = run.topo.h.ports, run.topo.h.degrees
-    replaces, extras = _collect_injections(run, i, [j], threshold, last)
-    dtype = _key_dtype(n, colors, [row[2] for rows in (*replaces.values(), *extras.values())
-                                   for row in rows])
-    # extras as rows (sender, target, color, pred), keyed by the round they arrive
-    ext = {t: np.array(rows, dtype=np.int64).reshape(-1, 5)[:, [4, 0, 2, 3]].T
-           for t, rows in extras.items()}
-    no_ext = np.zeros((4, 0), dtype=np.int64)
-    masks = _subphase_masks(run)
-    idle = np.flatnonzero(~masks.proc)
-
-    k_rows = np.zeros((i + 1, n), dtype=np.int64)
-    # the forwarding log; the send mask's column n stays False under the sentinel ports
-    log_send = np.zeros((i + 1, n + 1), dtype=bool)
-    log_color = np.zeros((i + 1, n), dtype=dtype)
-    log_pred = np.full((i + 1, n), ORIGIN, dtype=np.int64)  # injected preds may be phantom ids
-    # key[u] = c·2^bits + (n − u) where u sends c ≥ 1, else 0; as
-    # 2^bits > n, key >> bits is the color and n − (key & (2^bits − 1)) the sender
-    bits, rank = n.bit_length(), np.arange(n, 0, -1, dtype=dtype)
-    low = (1 << bits) - 1
-    buf = run.round_buffers.get(dtype)
-    if buf is None:
-        buf = run.round_buffers[dtype] = _RoundBuffers(n, ports.shape[0], dtype)
-    key, gathered, recv_col, recv_src = buf.key, buf.gathered, buf.recv_col, buf.recv_src
-    pos, got, step = buf.pos, buf.got, buf.step
-
-    def get_log(target: int, r: int):
-        if not log_send[r, target]:
-            return None
-        return int(log_color[r, target]), int(log_pred[r, target])
-
-    def verify(v: int, c: int, s: int, p: int) -> bool:
-        tok = Token(color=c, phase=i, subphase=j, hop=t - 1, src=s, pred=p)  # round t
-        return run.verify_token(v, tok, i, j, get_log)
-
-    send = log_send[1, :n]
-    np.greater_equal(colors, 1, out=send)
-    send &= masks.proc & run.active
-    np.multiply(colors, send, out=log_color[1], casting="unsafe")
-    k_rows[1] = log_color[1]
-    for t in range(1, i + 2):
-        if t > 1:
-            sent = log_send[t - 1], log_color[t - 1], log_pred[t - 1]
-            np.greater(sent[1], 0, out=pos)
-            pos &= sent[0][:n]  # u sends a color >= 1
-            np.left_shift(sent[1], bits, out=key[:n])
-            key[:n] |= rank
-            key[:n] *= pos
-            np.take(key, ports, out=gathered, mode="clip")
-            np.max(gathered, axis=0, out=recv_col)
-            np.bitwise_and(recv_col, low, out=recv_src)
-            np.subtract(n, recv_src, out=recv_src)
-            np.right_shift(recv_col, bits, out=recv_col)
-            recv_col[idle] = 0
-            _correct_round(run, t - 1, key, recv_col, recv_src, sent, ext.get(t, no_ext),
-                           verify, masks)
-            # k_{t-1} = max(k_{t-1}, recv_col, 0): a color below 1 counts as 0
-            np.maximum(k_rows[t - 1], recv_col, out=k_rows[t - 1])
-            np.maximum(k_rows[t - 1], 0, out=k_rows[t - 1])
-            if t <= i:
-                np.greater_equal(recv_col, 1, out=got)
-                send = log_send[t, :n]
-                np.greater(recv_col, sent[1], out=send)
-                send &= got
-                # color = where(send, recv_col, old color) without numpy's
-                # masked copy, which branches per node and costs ~7x as much
-                # on a round's scattered mask; exact under wrap-around
-                np.subtract(recv_col, sent[1], out=step)
-                step *= send
-                np.add(sent[1], step, out=log_color[t])
-                log_pred[t] = recv_src  # read only where the node sends
-        for b, _, c, p in replaces.get(t, ()):
-            if t <= i:
-                log_send[t, b], log_color[t, b], log_pred[t, b] = True, c, p
-            k_rows[1 if t == 1 else t - 1, b] = c
-        if t <= i:
-            _count_sends(run, int(degrees @ log_send[t, :n]))
-
-    _close_subphase(run, i, j, last, k_rows, threshold)
+    del key, top, buf, best, send, log  # before the closes' int64 copies, for peak RSS
+    for col, j in enumerate(js):
+        _close_subphase(run, i, j, last and j == js[-1], k_rows[:, :, col].astype(np.int64),
+                        threshold)
     return k_rows
 
 
@@ -1002,10 +942,10 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
     run.run_setup(full=reference)
     if reference:
         run.states = _init_states(run)
-    subphase = _reference_subphase if reference else _fast_subphase
-
-    overhead = (len(verification_subround_scheduler(1, run.k))
-                if cfg.algorithm == "byzantine" else 0)
+    # verification runs in a fixed window after each flooding round, one
+    # query step and one answer step per chain depth 1..k-1, however many
+    # queries are issued (no timing side channel)
+    overhead = 2 * (run.k - 1) if cfg.algorithm == "byzantine" else 0
     cap = cfg.resolved_phase_cap()
     capped = False
     i = 1
@@ -1020,11 +960,15 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
                           cfg.subphase_factor)
         before = (run.counters.sent, run.counters.queries)
         decided_before = int((run.decided > 0).sum())
-        if not reference and cfg.algorithm == "basic":
-            _fast_phase(run, i, pp)
+        S = pp.subphases
+        if reference:
+            for j in range(1, S + 1):
+                _reference_subphase(run, i, j, j == S, run.colors(i, j), pp.threshold)
         else:
-            for j in range(1, pp.subphases + 1):
-                subphase(run, i, j, j == pp.subphases, run.colors(i, j), pp.threshold)
+            # the basic protocol floods a whole phase as columns, the hardened one a subphase
+            width = 1 if cfg.algorithm == "byzantine" else S
+            for j in range(1, S + 1, width):
+                _fast_flood(run, i, list(range(j, j + width)), j + width > S, pp.threshold)
         phase_rounds = pp.subphases * (i + i * overhead)
         run.rounds_total += phase_rounds
         run.per_phase.append({
@@ -1089,8 +1033,7 @@ def simulate_subphase(topo: Topology, phase: int, *,
 
     Colors may be scripted, as integers; Byzantine placement may be
     pinned.  Setup (and its crash semantics) runs first when the hardened
-    algorithm is selected; the basic one runs the phase kernel on a phase
-    of one subphase.
+    algorithm is selected; either protocol then floods one column.
     """
     cfg = ExperimentConfig(
         n=topo.h.n, d=topo.h.d, seed=seed, algorithm=algorithm,
@@ -1112,11 +1055,7 @@ def simulate_subphase(topo: Topology, phase: int, *,
         raise ValueError("colors must have one entry per node")
     thr = threshold if threshold is not None else continuation_threshold(phase, run.d)
     cont_before = run.phase_continue.copy()
-    if algorithm == "basic":
-        pp = PhaseParams(phase=phase, alpha=1, subphases=1, threshold=thr)
-        k_rows = _fast_phase(run, phase, pp, colors[:, None], last=False)[:, :, 0].astype(np.int64)
-    else:
-        k_rows = _fast_subphase(run, phase, 1, False, colors, thr)
+    k_rows = _fast_flood(run, phase, [1], False, thr, colors[:, None])[:, :, 0].astype(np.int64)
     return SubphaseTrace(
         phase=phase,
         k_rows=k_rows,

@@ -538,8 +538,13 @@ def classify_nodes(
 
 
 def _mask_from_idx(n: int, idx: np.ndarray) -> np.ndarray:
+    """The (n,) mask of node indices ``idx``; an index outside [0, n) is a
+    ``ValueError``, not a node counted from the end."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if ((idx < 0) | (idx >= n)).any():
+        raise ValueError(f"byz: need node indices in [0, {n})")
     mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(idx, dtype=np.int64)] = True
+    mask[idx] = True
     return mask
 
 

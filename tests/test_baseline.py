@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -39,6 +40,13 @@ def test_single_byzantine_node_owns_the_estimate(topo1024):
     est2 = run_support_estimation(topo1024, byz=np.array([123]),
                                   byz_value=10**6, seed=0)
     assert est2.global_max == 10**6
+
+
+@pytest.mark.parametrize("idx", [-1, N])
+def test_byzantine_indices_outside_the_node_set_are_rejected(topo1024, idx):
+    # -1 would force node N - 1 to the forged value; N would index past the node set
+    with pytest.raises(ValueError, match="byz"):
+        run_support_estimation(topo1024, byz=[idx], byz_value=100)
 
 
 def test_distinct_forwards_stay_logarithmic(topo1024):

@@ -21,12 +21,11 @@ from byzcount.engine import (
     run_experiment,
     run_trials,
     simulate_subphase,
-    verification_subround_scheduler,
     write_summary_json,
     write_trial_csv,
 )
 from byzcount.graph import HMultigraph, augment_small_world, classify_nodes, generate_h_graph
-from byzcount.protocol import (ORIGIN, NodeState, PhaseParams, RoundContext, Token,
+from byzcount.protocol import (ORIGIN, NodeState, RoundContext, Token,
                                TopologyConflict, claim_table, honest_node_step,
                                reconstruct_local_topology)
 
@@ -109,18 +108,8 @@ def test_fixtures_must_fit_the_config(n, byz, fragment):
 
 
 # ---------------------------------------------------------------------------
-# verification scheduling and message delivery
+# message delivery
 # ---------------------------------------------------------------------------
-
-def test_verification_scheduler_shape():
-    steps = verification_subround_scheduler(2, 3)
-    assert len(steps) == 4                     # 2(k-1), fixed
-    assert steps == verification_subround_scheduler(9, 3)
-    kinds = [kind for kind, _ in steps]
-    assert kinds == ["query", "answer", "query", "answer"]
-    with pytest.raises(ValueError):
-        verification_subround_scheduler(0, 3)
-
 
 def test_deliver_round_moves_tokens_along_g_edges(path6):
     counters = SimpleNamespace(sent=0, delivered=0, dropped=0)
@@ -593,16 +582,16 @@ def test_scripted_colors_must_be_integers():
 # ---------------------------------------------------------------------------
 
 def _phase_dtypes(monkeypatch):
-    """Spy on ``_fast_phase``: the dtype of every phase's state, in order."""
+    """Spy on ``_fast_flood``: the dtype of every flood's state, in order."""
     seen = []
-    real = engine._fast_phase
+    real = engine._fast_flood
 
     def spy(*args, **kwargs):
         k_rows = real(*args, **kwargs)
         seen.append(k_rows.dtype)
         return k_rows
 
-    monkeypatch.setattr(engine, "_fast_phase", spy)
+    monkeypatch.setattr(engine, "_fast_flood", spy)
     return seen
 
 
@@ -618,7 +607,7 @@ def test_an_injected_color_of_300_widens_the_basic_state(monkeypatch):
     records = _assert_executors_agree(n=96, seed=5, algorithm="basic",
                                       strategy="max_injector",
                                       strategy_params={"magnitude": 300})
-    assert seen and set(seen) == {np.dtype(np.int64)}
+    assert seen and set(seen) == {np.dtype(np.int32)}
     assert max(int(k.max()) for _, _, k, _ in records["fast"]) == 300
 
 
@@ -630,7 +619,7 @@ def test_a_scripted_color_of_256_widens_the_basic_state(monkeypatch):
     trace = simulate_subphase(topo, phase, colors=colors, threshold=0.0,
                               algorithm="basic", relax_degree=True)
     sent, ref_rows = _honest_subphase(topo, phase, colors)
-    assert seen == [np.dtype(np.int64)]
+    assert seen == [np.dtype(np.int32)]
     assert trace.k_rows[1:].tolist() == ref_rows
     assert trace.k_rows.max() == 256
     assert trace.messages_sent == sent + int(topo.l_ptr[-1])
@@ -664,11 +653,7 @@ def test_an_extra_that_reaches_no_one_is_only_counted(algorithm):
     for script in ({}, {(t, 3): [Injection(color=5, pred=0, targets=(3,))] for t in (1, 2, 3)}):
         run = engine._Run(cfg, 0, topo=topo, byz=np.array([3]))
         run.strategy = _Scripted(script)
-        if algorithm == "basic":
-            pp = PhaseParams(phase=2, alpha=1, subphases=1, threshold=1.0)
-            k_rows[len(script)] = engine._fast_phase(run, 2, pp, colors[:, None])[:, :, 0]
-        else:
-            k_rows[len(script)] = engine._fast_subphase(run, 2, 1, False, colors, 1.0)
+        k_rows[len(script)] = engine._fast_flood(run, 2, [1], False, 1.0, colors[:, None])
         assert run.counters.dropped == len(script)
     np.testing.assert_array_equal(k_rows[0], k_rows[3])
 
@@ -845,8 +830,8 @@ def test_narrow_correction_equals_the_sorted_inbox_rule(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_correct_round", _compare_with_sorted_inbox(
             engine._correct_round, case["salt"]))
-        engine._fast_subphase(run, case["phase"], 1, False,
-                              np.array(case["colors"], dtype=np.int64), 0.0)
+        engine._fast_flood(run, case["phase"], [1], False, 0.0,
+                           np.array(case["colors"], dtype=np.int64)[:, None])
 
 
 # at n=128 (bits = 8) the key c·2^8 + n fits int32 up to c = 2^23 − 1

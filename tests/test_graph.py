@@ -505,6 +505,13 @@ def test_classification_requires_delta_when_defaulted(topo512):
         classify_nodes(topo512, np.array([0]))
 
 
+@pytest.mark.parametrize("idx", [-1, 512])
+def test_classification_rejects_byzantine_indices_outside_the_node_set(topo512, idx):
+    # -1 would mark node 511 Byzantine; 512 would index past the node set
+    with pytest.raises(ValueError, match="byz"):
+        classify_nodes(topo512, np.array([idx]), delta=0.6)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=511), max_size=12))
 def test_classification_algebra(topo512, byz_set):

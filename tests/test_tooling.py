@@ -16,7 +16,9 @@ hashes pinned in ``perfbench/hashes.json``.  No other test pins the
 reference executor's hardened late_injector transcripts, so without this a
 change to the reference path could move them unnoticed until a benchmark
 run.  The ``attacked_large`` seed-0 trial is checked the same way: it is
-the only pinned run of the hardened fast path at n = 2^16.
+the only pinned run of the hardened fast path at n = 2^16.  So are the
+``honest_sweep`` seed-0 trials, the only pinned runs of the basic protocol
+at n = 2^10..2^14.
 """
 
 import importlib.util
@@ -170,3 +172,7 @@ def test_reference_check_seed_0_gives_the_pinned_hashes(monkeypatch):
 
 def test_attacked_large_seed_0_gives_the_pinned_hash(monkeypatch):
     _assert_seed_0_pins(monkeypatch, "attacked_large", 1)
+
+
+def test_honest_sweep_seed_0_gives_the_pinned_hashes(monkeypatch):
+    _assert_seed_0_pins(monkeypatch, "honest_sweep", 5)
