@@ -578,7 +578,7 @@ def test_scripted_colors_must_be_integers():
 
 
 # ---------------------------------------------------------------------------
-# the basic phase kernel: state dtype and per-subphase columns
+# the flood kernel: state dtype and per-subphase columns
 # ---------------------------------------------------------------------------
 
 def _phase_dtypes(monkeypatch):
@@ -843,6 +843,17 @@ def test_executors_agree_on_both_sides_of_the_int32_key(magnitude, dtype, monkey
     _assert_executors_agree(n=128, seed=0, algorithm="byzantine", strategy="max_injector",
                             strategy_params={"magnitude": magnitude})
     assert chosen and set(chosen) == {dtype}
+
+
+def test_executors_agree_on_a_uint8_verifying_key(monkeypatch):
+    # at n=24 (bits = 5) the key c·2^5 + n fits uint8 up to c = 7, so most
+    # subphases flood in uint8 and the rest in int32
+    chosen = []
+    real = engine._key_dtype
+    monkeypatch.setattr(engine, "_key_dtype", lambda *a: chosen.append(real(*a)) or chosen[-1])
+    _assert_executors_agree(n=24, seed=3, algorithm="byzantine", strategy="max_injector",
+                            strategy_params={"magnitude": 3})
+    assert set(chosen) == {np.uint8, np.int32}
 
 
 def test_colors_too_large_for_the_verifying_key_are_a_config_error():
