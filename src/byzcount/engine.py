@@ -944,7 +944,7 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
         run.states = _init_states(run)
     # verification runs in a fixed window after each flooding round, one
     # query step and one answer step per chain depth 1..k-1, however many
-    # queries are issued (no timing side channel)
+    # queries run (no timing side channel)
     overhead = 2 * (run.k - 1) if cfg.algorithm == "byzantine" else 0
     cap = cfg.resolved_phase_cap()
     capped = False
