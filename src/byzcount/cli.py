@@ -89,11 +89,10 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_integer(value, name: str, least: int | None = 1) -> int:
+def _sweep_integer(value, name: str, least: int = 1) -> int:
     """A sweep-level field, checked by the engine's integer rule."""
-    if not _integer(value) or least is not None and value < least:
-        need = "an integer" if least is None else f"an integer >= {least}"
-        raise ConfigError(f"{name}: need {need}, got {value!r}")
+    if not _integer(value) or value < least:
+        raise ConfigError(f"{name}: need an integer >= {least}, got {value!r}")
     return value
 
 
@@ -123,7 +122,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep: unknown fields {', '.join(unknown)}")
     cap = _sweep_integer(spec.get("cell_cap", 256), "cell_cap")
     root_seed = _sweep_integer(args.seed if args.seed is not None else spec.get("seed", 0),
-                               "seed", least=None)
+                               "seed", least=0)
     trials = _sweep_integer(args.trials if args.trials is not None else spec.get("trials", 1),
                             "trials")
     if "out" in spec and not (isinstance(spec["out"], str) and spec["out"]):

@@ -30,7 +30,12 @@ the decision and the fold.  The reference loop is driven entirely by
 ``byzantine_node_step`` (the honest transition for nodes without a
 policy) plus ``deliver_round``.  Both consume identical color streams and
 fold identical per-subphase state into the transcript hash, so equality
-of results is testable.
+of results is testable.  The fold hands each subphase's rows k_1..k_i,
+compact and in the flood's dtype, and a snapshot of ``decided`` to the
+run's ``_Transcript``: one worker thread widens the rows to int64 and
+hashes them while the next flood runs (small items are hashed inline), so
+the digest is that of an inline int64 fold, and the run joins the thread
+before it returns or raises.
 The reference copies one node state per node step and keeps forwarding
 logs per subphase, so it grows linearly with run length.  Its setup shares
 the real H rows, tallied once, patches in only Byzantine reports and scans
@@ -45,7 +50,10 @@ import csv
 import hashlib
 import json
 import math
+import queue
 import struct
+import threading
+import weakref
 from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
@@ -156,6 +164,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{name}: need {need}, got {value!r}")
         if self.n < 3:
             raise ConfigError("n: need an integer >= 3")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed: need an integer in [0, 2^64), got {self.seed}")
         if self.d < 2 or self.d % 2:
             raise ConfigError("d: need an even integer >= 2")
         if self.d < 8 and not self.relax_degree:
@@ -271,6 +281,120 @@ class _TrueView:
         return self._h.h_adjacent(a, b)
 
 
+# bytes that fold input queued and not yet hashed keeps alive, at most
+# (one larger item may wait alone): what the fold thread adds to peak RSS.
+# 2 MiB was as fast on honest_sweep but raised its peak RSS ~2 MiB, by
+# outgrowing setup's peak in the closes of phases with 32 subphases
+_FOLD_BACKLOG = 1 << 20
+# int64 elements widened per hash update (256 KiB): the widening copy and
+# blake2b release the GIL on buffers this size, and each reacquisition
+# while the flood holds it costs the flood a thread switch
+_FOLD_CHUNK = 1 << 15
+# an item that hashes fewer bytes is hashed inline when nothing is queued:
+# handing it over costs more than hashing it (a fold of phase i hashes
+# (i + 1)·8n bytes, so runs at n <= 256 seldom start the thread)
+_FOLD_INLINE = 64 << 10
+
+
+def _widens(piece) -> bool:
+    return isinstance(piece, np.ndarray) and piece.dtype.kind in "iu" and piece.dtype != np.int64
+
+
+class _Transcript:
+    """A run's transcript hash, folded on a second thread.
+
+    ``update`` takes pieces, bytes or compact arrays, to be hashed in
+    order, integer arrays as int64, and queues them for one worker thread,
+    started by the first item queued; an item smaller than
+    ``_FOLD_INLINE`` is hashed inline instead when nothing is queued.
+    Narrower integer arrays are widened in chunks into one buffer, so the
+    digest is the one inline int64 updates give.  Queued pieces stay alive
+    until hashed, so ``update`` waits while those queued before it keep
+    more than ``_FOLD_BACKLOG`` bytes alive.  ``hexdigest`` drains the
+    queue and joins the thread; ``stop`` only queues the end marker, and
+    ``close`` also joins.
+    """
+
+    def __init__(self):
+        self._hasher = hashlib.blake2b(digest_size=16)
+        self._buf: np.ndarray | None = None  # allocated with the thread
+        self._room = threading.Condition(threading.Lock())
+        self._queued = 0   # items queued and not yet hashed
+        self._backlog = 0  # the bytes they keep alive
+        self._queue: queue.SimpleQueue | None = None
+        self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None
+
+    def update(self, *pieces, held: int | None = None) -> None:
+        """Hash ``pieces`` after everything before them; ``held`` is the
+        bytes they keep alive until hashed, by default all of theirs."""
+        if held is None:
+            held = sum(memoryview(p).nbytes for p in pieces)
+        with self._room:
+            inline = not self._queued and sum(
+                p.size * 8 if _widens(p) else memoryview(p).nbytes for p in pieces) < _FOLD_INLINE
+            if not inline:
+                self._room.wait_for(lambda: not self._queued
+                                    or self._backlog + held <= _FOLD_BACKLOG)
+                self._queued += 1
+                self._backlog += held
+        if inline:
+            self._hash(pieces)  # the thread, if any, is idle
+            return
+        if self._thread is None:
+            self._queue = queue.SimpleQueue()  # a fresh one: no end marker left over
+            if self._buf is None:
+                self._buf = np.empty(_FOLD_CHUNK, dtype=np.int64)
+            self._thread = threading.Thread(target=self._work, args=(self._queue,),
+                                            name="byzcount-fold", daemon=True)
+            self._thread.start()
+        self._queue.put((pieces, held))
+
+    def _hash(self, pieces) -> None:
+        for p in pieces:
+            if not _widens(p):
+                self._hasher.update(p)
+                continue
+            if self._buf is None:  # inline before any thread: small, widened at once
+                self._hasher.update(p.astype(np.int64))
+                continue
+            p = p.reshape(-1)
+            for a in range(0, p.size, _FOLD_CHUNK):
+                out = self._buf[:min(p.size - a, _FOLD_CHUNK)]
+                np.copyto(out, p[a:a + out.size])
+                self._hasher.update(out)
+
+    def _work(self, items: queue.SimpleQueue) -> None:
+        while (item := items.get()) is not None:
+            pieces, held = item
+            try:
+                self._hash(pieces)
+            except BaseException as exc:  # raised again by hexdigest
+                self._error = self._error or exc
+            with self._room:
+                self._queued -= 1
+                self._backlog -= held
+                self._room.notify()
+
+    def stop(self) -> threading.Thread | None:
+        """Queue the end marker; the thread ends once it has hashed what
+        was queued before it.  Returns the thread, if one was running."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._queue.put(None)
+        return thread
+
+    def close(self) -> None:
+        if (thread := self.stop()) is not None:
+            thread.join()
+
+    def hexdigest(self) -> str:
+        self.close()
+        if self._error is not None:
+            raise self._error
+        return self._hasher.hexdigest()
+
+
 def _trial_seed(seed: int, trial: int) -> int:
     return int(stream(seed, "trial", trial).integers(0, 2**63 - 1))
 
@@ -325,7 +449,10 @@ class _Run:
         self.rounds_total = 0
         self.rounds_setup = 0
         self.per_phase: list[dict] = []
-        self.hasher = hashlib.blake2b(digest_size=16)
+        self.transcript = _Transcript()
+        # a run dropped without its digest still ends its fold thread
+        weakref.finalize(self, self.transcript.stop)
+        self._decided_folded = self.decided.copy()
         self.states: dict[int, NodeState] | None = None
 
         self.classification = classify_nodes(
@@ -411,8 +538,7 @@ class _Run:
             else:
                 self.views[v] = res
         self.lie_rx_set = {v for v in self.lie_rx_set if not self.crashed[v]}
-        self.hasher.update(b"setup")
-        self.hasher.update(self.crashed)
+        self.transcript.update(b"setup", self.crashed.copy())
 
     # -- verification ----------------------------------------------------
 
@@ -441,9 +567,18 @@ class _Run:
         return verify_color_provenance(view, tok, query)
 
     def fold(self, phase: int, subphase: int, k_rows: np.ndarray) -> None:
-        self.hasher.update(struct.pack("<qq", phase, subphase))
-        self.hasher.update(np.ascontiguousarray(k_rows[1:]))
-        self.hasher.update(self.decided)
+        """Queue (phase, subphase), rows k_1..k_i of the (i+1, n)
+        ``k_rows``, hashed as int64, and ``decided``; subphases that left
+        ``decided`` as it was share one snapshot.  Compact rows are queued
+        as they are, so callers hand over arrays they no longer change;
+        strided ones are copied, so no view keeps a larger base alive."""
+        rows = np.ascontiguousarray(k_rows[1:])
+        held = rows.nbytes
+        if not np.array_equal(self._decided_folded, self.decided):
+            self._decided_folded = self.decided.copy()
+            held += self._decided_folded.nbytes
+        self.transcript.update(struct.pack("<qq", phase, subphase), rows,
+                               self._decided_folded, held=held)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +738,10 @@ def _delivered_extras(run: _Run, b: int, inj) -> list[int]:
 
 def _close_subphase(run: _Run, i: int, j: int, last: bool, k_rows: np.ndarray,
                     threshold: float) -> None:
-    """End subphase (i, j) from its int64 (i+1, n) ``k_rows``: OR the
-    continuation test into ``phase_continue``, decide at the ``last``
-    subphase of the phase, then fold."""
+    """End subphase (i, j) from its (i+1, n) ``k_rows``, in the flood's
+    dtype (the values are exact, so no int64 copy): OR the continuation
+    test into ``phase_continue``, decide at the ``last`` subphase of the
+    phase, then fold."""
     elig = run.active & ~run.crashed & ~run.suppressed
     prev = k_rows[1:i].max(axis=0) if i >= 2 else 0
     run.phase_continue |= elig & (k_rows[i] > prev) & (k_rows[i] > threshold)
@@ -670,7 +806,8 @@ def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
     node sends exactly when its gathered top beats it.  As in
     ``honest_node_step``, a round-1 color below 1 (only scripts give one)
     originates nothing.  The buffers are freed before the subphases are
-    closed in order, the last one deciding if ``last``.
+    closed in order, each from a compact copy of its column, the last one
+    deciding if ``last``.
     """
     n, S = run.n, len(js)
     ports, degrees = run.topo.h.ports, run.topo.h.degrees
@@ -751,10 +888,11 @@ def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
                 key[:n] *= pos
             _count_sends(run, int(degrees @ send.sum(axis=1)))
 
-    del key, top, buf, best, send, log  # before the closes' int64 copies, for peak RSS
+    del key, top, buf, best, send, log  # before the closes' column copies, for peak RSS
     for col, j in enumerate(js):
-        _close_subphase(run, i, j, last and j == js[-1], k_rows[:, :, col].astype(np.int64),
-                        threshold)
+        # compact: a fast continuation test, and the fold keeps only this column alive
+        _close_subphase(run, i, j, last and j == js[-1],
+                        np.ascontiguousarray(k_rows[:, :, col]), threshold)
     return k_rows
 
 
@@ -927,17 +1065,11 @@ class RunResult:
         }
 
 
-def run_experiment(cfg: ExperimentConfig, trial: int = 0,
-                   topo: Topology | None = None,
-                   byz: np.ndarray | None = None) -> RunResult:
-    """Execute one trial of the configured experiment, deterministically.
-
-    ``topo``/``byz`` may be supplied to reuse a prebuilt topology or a
-    fixed placement (fixtures); by default both derive from the trial
-    seed.  A ``topo`` whose n or d differs from ``cfg``'s, or a ``byz``
-    index outside [0, n), raises ``ConfigError``.
-    """
-    run = _Run(cfg, trial, topo=topo, byz=byz)
+def _run_phases(run: _Run) -> bool:
+    """Setup, then phases until every honest uncrashed node has decided
+    or the phase cap is hit, then the counters fold; returns whether the
+    cap was hit."""
+    cfg = run.cfg
     reference = cfg.engine == "reference"
     run.run_setup(full=reference)
     if reference:
@@ -981,8 +1113,27 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
         })
         i += 1
 
-    run.hasher.update(struct.pack("<qqq", run.counters.sent,
-                                  run.counters.queries, run.counters.rejected))
+    run.transcript.update(struct.pack("<qqq", run.counters.sent,
+                                      run.counters.queries, run.counters.rejected))
+    return capped
+
+
+def run_experiment(cfg: ExperimentConfig, trial: int = 0,
+                   topo: Topology | None = None,
+                   byz: np.ndarray | None = None) -> RunResult:
+    """Execute one trial of the configured experiment, deterministically.
+
+    ``topo``/``byz`` may be supplied to reuse a prebuilt topology or a
+    fixed placement (fixtures); by default both derive from the trial
+    seed.  A ``topo`` whose n or d differs from ``cfg``'s, or a ``byz``
+    index outside [0, n), raises ``ConfigError``.
+    """
+    run = _Run(cfg, trial, topo=topo, byz=byz)
+    try:
+        capped = _run_phases(run)
+        digest = run.transcript.hexdigest()
+    finally:
+        run.transcript.close()  # also when the run raised: no fold thread outlives it
     cnt, cls = run.counters, run.classification
     return RunResult(
         config=cfg.to_dict(), trial=trial, trial_seed=run.tseed,
@@ -993,7 +1144,7 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
         messages_sent=cnt.sent, messages_delivered=cnt.delivered,
         messages_dropped=cnt.dropped, queries_total=cnt.queries,
         tokens_rejected=cnt.rejected, per_phase=run.per_phase,
-        transcript_hash=run.hasher.hexdigest())
+        transcript_hash=digest)
 
 
 def run_trials(cfg: ExperimentConfig) -> list[RunResult]:
@@ -1042,20 +1193,24 @@ def simulate_subphase(topo: Topology, phase: int, *,
         delta=1.0 if topo.h.d < 8 else ExperimentConfig.delta)
     run = _Run(cfg, trial=0, topo=topo,
                byz=byz if byz is not None else np.zeros(0, dtype=np.int64))
-    run.run_setup(full=False)
-    if colors is None:
-        colors = run.colors(phase, 1)
-    colors = np.asarray(colors)
-    # whole floats are accepted; anything else non-integral, NaN and inf are not
-    if not (colors.dtype.kind in "iub" or colors.dtype.kind == "f"
-            and (colors == np.trunc(colors)).all() and (np.abs(colors) < 2.0**63).all()):
-        raise ValueError("colors must be integers")
-    colors = colors.astype(np.int64)
-    if colors.shape != (run.n,):
-        raise ValueError("colors must have one entry per node")
-    thr = threshold if threshold is not None else continuation_threshold(phase, run.d)
-    cont_before = run.phase_continue.copy()
-    k_rows = _fast_flood(run, phase, [1], False, thr, colors[:, None])[:, :, 0].astype(np.int64)
+    try:
+        run.run_setup(full=False)
+        if colors is None:
+            colors = run.colors(phase, 1)
+        colors = np.asarray(colors)
+        # whole floats are accepted; anything else non-integral, NaN and inf are not
+        if not (colors.dtype.kind in "iub" or colors.dtype.kind == "f"
+                and (colors == np.trunc(colors)).all() and (np.abs(colors) < 2.0**63).all()):
+            raise ValueError("colors must be integers")
+        colors = colors.astype(np.int64)
+        if colors.shape != (run.n,):
+            raise ValueError("colors must have one entry per node")
+        thr = threshold if threshold is not None else continuation_threshold(phase, run.d)
+        cont_before = run.phase_continue.copy()
+        k_rows = _fast_flood(run, phase, [1], False, thr, colors[:, None])
+    finally:
+        run.transcript.close()  # also when the flood raised: no fold thread outlives it
+    k_rows = k_rows[:, :, 0].astype(np.int64)
     return SubphaseTrace(
         phase=phase,
         k_rows=k_rows,

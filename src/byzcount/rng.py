@@ -37,10 +37,13 @@ def stream(seed: int, channel: str, *extra: int) -> np.random.Generator:
     extra : int
         Additional counters (phase, subphase, trial index, ...) that
         split the channel into independent sub-streams.
+
+    The seed and every counter must lie in [0, 2^64); anything else is a
+    ``ValueError``, never the stream of some other seed.
     """
     if channel not in _TAGS:
         raise ValueError(f"unknown rng channel: {channel!r}")
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, _TAGS[channel]) + tuple(
-        int(x) & 0xFFFFFFFFFFFFFFFF for x in extra
-    )
+    entropy = (int(seed), _TAGS[channel], *map(int, extra))
+    if not all(0 <= x < 2**64 for x in entropy):
+        raise ValueError(f"rng seed and counters: need integers in [0, 2^64), got {entropy}")
     return np.random.default_rng(np.random.SeedSequence(entropy))

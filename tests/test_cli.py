@@ -44,6 +44,14 @@ def test_gen_rejects_bad_parameters():
         == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_gen_rejects_seeds_outside_the_rng_range(tmp_path, seed):
+    out = tmp_path / "g.txt"
+    assert cli.main(["gen", "--n", "16", "--d", "2", "--seed", seed, "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_gen_honours_outdir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BYZCOUNT_OUTDIR", str(tmp_path))
     rc = cli.main(["gen", "--n", "12", "--d", "2"])
@@ -83,6 +91,14 @@ def test_run_flag_overrides_beat_the_file(tmp_path, capsys):
     rc = cli.main(["run", "--config", config, "--seed", "9", "--dry-run"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+
+@pytest.mark.parametrize("file_seed,flag", [(-1, []), (2**64, []), (3, ["--seed", "-1"])])
+def test_run_rejects_seeds_outside_the_rng_range(tmp_path, capsys, file_seed, flag):
+    # masked into [0, 2^64), 2^64 would run seed 0's trials and -1 seed 2^64 - 1's
+    config = _write(tmp_path / "cfg.json", {"n": 64, "seed": file_seed})
+    assert cli.main(["run", "--config", config, "--dry-run", *flag]) == cli.EXIT_CONFIG
+    assert "seed: need an integer in [0, 2^64)" in capsys.readouterr().err
 
 
 def test_run_unknown_strategy_is_config_error(tmp_path):
@@ -257,6 +273,15 @@ def test_sweep_out_must_be_a_non_empty_string(tmp_path, monkeypatch, capsys, val
     spec = _write(tmp_path / "sweep.json", {"n": [32], "out": value})
     assert cli.main(["sweep", "--config", spec]) == cli.EXIT_CONFIG
     assert "out: need a non-empty string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec_seed,flag", [(0, ["--seed", "-1"]), (-1, []), (2**64, [])])
+def test_sweep_rejects_seeds_outside_the_rng_range(tmp_path, monkeypatch, spec_seed, flag):
+    monkeypatch.setattr(cli, "run_trials", lambda cfg: pytest.fail("a cell ran"))
+    spec = _write(tmp_path / "sweep.json", {"n": [32], "seed": spec_seed})
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", spec, "--out", str(out), *flag]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_trials_flag_is_checked_too(tmp_path):

@@ -4,6 +4,9 @@ round accounting, and output formats."""
 import csv
 import hashlib
 import json
+import struct
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,10 +80,17 @@ def test_config_defaults_resolve():
     ({"relax_degree": "yes"}, "relax_degree"),
     ({"subphase_factor": 2.5}, "subphase_factor"),
     ({"band": ("0", 4.0)}, "band"),
+    ({"n": 64, "seed": -1}, r"seed: need an integer in \[0, 2\^64\)"),
+    ({"n": 64, "seed": 2**64}, r"seed: need an integer in \[0, 2\^64\)"),
 ])
 def test_config_validation_errors(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig(**kwargs).validate()
+
+
+def test_seeds_at_the_ends_of_the_rng_range_are_accepted():
+    for seed in (0, 2**64 - 1):
+        ExperimentConfig(n=64, seed=seed).validate()
 
 
 def test_relax_degree_admits_fixture_parameters():
@@ -365,7 +375,7 @@ def test_executors_agree_on_who_hears_a_short_report(path6, strategy, byz, crash
 LIAR_LATE = {"parts": [{"name": "topology_liar"}, {"name": "late_injector"}]}
 
 
-@pytest.mark.parametrize("cfg,digest", [
+PINNED_FAST = [
     (dict(n=1024, seed=3, algorithm="basic", strategy="none"),
      "cb7a6c0b80d91fb32701a221e4554211"),
     (dict(n=512, seed=1, algorithm="basic", strategy="late_injector"),
@@ -389,12 +399,30 @@ LIAR_LATE = {"parts": [{"name": "topology_liar"}, {"name": "late_injector"}]}
     # a color too large for the int32 verifying key: the int64 key
     (dict(n=512, seed=0, algorithm="byzantine", strategy="max_injector",
           strategy_params={"magnitude": 2**40}), "4298e653bbb3bb1fdcc5ba53a4c7e307"),
-])
+]
+
+
+@pytest.mark.parametrize("cfg,digest", PINNED_FAST)
 def test_fast_transcript_hashes_are_pinned(cfg, digest):
     # golden digests of the fast executor, covering the paths no reference
     # run checks at this size: replaces, extras (late_injector, where the
     # executors still disagree under the hardened protocol), the int64
     # basic state and multi-subphase phases
+    assert run_experiment(ExperimentConfig(**cfg)).transcript_hash == digest
+
+
+# uint8 columns of whole phases, an int32 verifying key, an int64 one
+@pytest.mark.parametrize("cfg,digest", [PINNED_FAST[i] for i in (2, 7, 10)])
+@pytest.mark.parametrize("inline,backlog,chunk", [
+    (0, 1, 7),               # every item on the thread, alone, widened 7 at a time
+    (0, 1 << 20, 1 << 15),   # every item on the thread
+    (2**62, 1 << 20, 1),     # every item inline
+])
+def test_the_fold_thread_keeps_the_pinned_digests(cfg, digest, inline, backlog, chunk,
+                                                  monkeypatch):
+    monkeypatch.setattr(engine, "_FOLD_INLINE", inline)
+    monkeypatch.setattr(engine, "_FOLD_BACKLOG", backlog)
+    monkeypatch.setattr(engine, "_FOLD_CHUNK", chunk)
     assert run_experiment(ExperimentConfig(**cfg)).transcript_hash == digest
 
 
@@ -867,6 +895,82 @@ def test_colors_too_large_for_the_verifying_key_are_a_config_error():
     with pytest.raises(ConfigError, match="color"):
         simulate_subphase(augment_small_world(h, k=1), 2, colors=[1, 2**60, 1, 1, 1, 1],
                           relax_degree=True)
+
+
+def test_the_transcript_hashes_in_order_under_fast_thread_switches(monkeypatch):
+    # four runs' transcripts at once, on two cores, switching threads every
+    # microsecond: items alternate between inline and queued, wait for
+    # backlog room and widen across chunk edges, and the digest must be
+    # that of hashing the same bytes inline, integers as int64
+    monkeypatch.setattr(engine, "_FOLD_BACKLOG", 3000)
+    monkeypatch.setattr(engine, "_FOLD_CHUNK", 64)
+    monkeypatch.setattr(engine, "_FOLD_INLINE", 1500)
+    rng = np.random.default_rng(0)
+    dtypes = (np.uint8, np.int32, np.int64, bool)
+    items = [(struct.pack("<q", k), *(rng.integers(0, 100, size=int(rng.integers(0, 400)))
+                                       .astype(dtypes[int(rng.integers(0, 4))])
+                                       for _ in range(2)))
+             for k in range(300)]
+    want = hashlib.blake2b(digest_size=16)
+    for pieces in items:
+        for piece in pieces:
+            want.update(piece.astype(np.int64) if getattr(piece, "dtype", bool) != bool else piece)
+    digests, overfull = {}, []
+
+    def run(k):
+        transcript = engine._Transcript()
+        try:
+            for pieces in items:
+                transcript.update(*pieces)
+                held = sum(memoryview(p).nbytes for p in pieces)
+                if transcript._backlog > max(engine._FOLD_BACKLOG, held):
+                    overfull.append(transcript._backlog)
+            digests[k] = transcript.hexdigest()
+        finally:
+            transcript.close()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in runs:
+            t.start()
+        for t in runs:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in runs)
+    assert digests == dict.fromkeys(range(4), want.hexdigest())
+    assert not overfull
+
+
+@pytest.mark.parametrize("case", ["hardened run", "run raising mid-flood", "one subphase"])
+def test_no_fold_thread_outlives_a_run(case, monkeypatch):
+    # every item goes to the thread, however small
+    monkeypatch.setattr(engine, "_FOLD_INLINE", 0)
+    queued = []
+    real = engine._Transcript.update
+
+    def update(self, *pieces, **kwargs):
+        real(self, *pieces, **kwargs)
+        queued.append((pieces[0], self._thread is not None))
+
+    monkeypatch.setattr(engine._Transcript, "update", update)
+    before = threading.active_count()
+    if case == "hardened run":
+        run_experiment(ExperimentConfig(n=128, seed=1, algorithm="byzantine",
+                                        strategy="max_injector"))
+    elif case == "run raising mid-flood":
+        # the setup fold is queued, then the first flood's key check raises
+        with pytest.raises(ConfigError, match="color"):
+            run_experiment(ExperimentConfig(n=128, seed=1, algorithm="byzantine",
+                                            strategy="max_injector",
+                                            strategy_params={"magnitude": 2**60}))
+        assert [first for first, _ in queued] == [b"setup"]
+    else:
+        simulate_subphase(augment_small_world(generate_h_graph(64, 8, seed=0)), 3)
+    assert queued and all(started for _, started in queued)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

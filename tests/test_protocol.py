@@ -55,6 +55,19 @@ def test_color_distribution():
         assert abs((colors >= r).mean() - p) < tol, f"tail at r={r}"
 
 
+@pytest.mark.parametrize("seed,extra", [(-1, ()), (2**64, ()), (0, (-1,)), (0, (1, 2**64))])
+def test_streams_reject_seeds_and_counters_outside_the_range(seed, extra):
+    # masked, 2^64 would alias 0 and -1 would alias 2^64 - 1
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        stream(seed, "colors", *extra)
+
+
+def test_streams_accept_the_ends_of_the_range():
+    a = stream(2**64 - 1, "colors", 0, 2**64 - 1).integers(0, 2**32, size=4)
+    b = stream(0, "colors", 0, 2**64 - 1).integers(0, 2**32, size=4)
+    assert (a != b).any()
+
+
 # ---------------------------------------------------------------------------
 # subphase counts and thresholds
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ names it wraps, or the small-world table fields it measures, fails Tier-1
 instead of breaking traced benchmark runs.
 
 The package's only runtime dependency is numpy: scipy and networkx serve the
-tests as oracles, and importing byzcount must not pay for them.
+tests as oracles, and importing byzcount must not pay for them.  Nor must it
+pay for ``concurrent.futures`` (10–13 ms of import, a few percent of a
+benchmark worker's set-up): the transcript fold runs on a plain
+``threading.Thread``, and ``threading`` is loaded by numpy already.
 
 The demos that read a ``RunResult`` run to completion, so a change to what
 it offers cannot silently break them.
@@ -47,12 +50,20 @@ def _src_env() -> dict:
     return env
 
 
-def test_import_loads_neither_scipy_nor_networkx():
-    code = ("import sys, byzcount; "
-            "print([m for m in ('scipy', 'networkx') if m in sys.modules])")
+def _loaded_by_import(modules: tuple[str, ...]) -> str:
+    code = f"import sys, byzcount; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_scipy_nor_networkx():
+    assert _loaded_by_import(("scipy", "networkx")) == "[]"
+
+
+def test_import_loads_no_concurrent_futures():
+    # the fold thread is a plain threading.Thread
+    assert _loaded_by_import(("concurrent.futures",)) == "[]"
 
 
 # 01_topology.py reads no RunResult and alone takes about as long as the rest
