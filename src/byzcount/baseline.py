@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _write_node_csv
-from .graph import Topology, _mask_from_idx
+from .graph import Topology, _placement_mask
 from .protocol import draw_colors
 from .rng import stream
 
@@ -47,22 +47,20 @@ class SupportEstimate:
 def run_support_estimation(topo: Topology,
                            byz: np.ndarray | None = None,
                            byz_value: int | None = None,
-                           rounds: int | None = None,
                            seed: int = 0) -> SupportEstimate:
     """Max-flood geometric samples over H; Byzantine nodes flood byz_value.
 
-    Each node forwards a value only the first time it becomes the node's
-    new maximum, so per-node distinct forwards stay O(log n).  The flood
-    runs until quiescent or the round budget (default comfortably above
-    the H diameter) is exhausted.
+    ``byz`` is a placement as ``classify_nodes`` takes it.  Each node
+    forwards a value only the first time it becomes the node's new
+    maximum, so per-node distinct forwards stay O(log n).  The flood runs
+    until quiescent or for 4·ceil(log2 n) + 10 rounds, comfortably above
+    the H diameter.
     """
     h = topo.h
     n = h.n
-    if rounds is None:
-        rounds = 4 * math.ceil(math.log2(n)) + 10
     rng = stream(seed, "trial", 0)
     samples = draw_colors(rng, n)
-    byz_mask = _mask_from_idx(n, [] if byz is None else byz)
+    byz_mask = _placement_mask(n, () if byz is None else byz)
     if byz_value is not None:
         samples[byz_mask] = int(byz_value)
 
@@ -71,7 +69,7 @@ def run_support_estimation(topo: Topology,
     forwards = np.zeros(n, dtype=np.int64)
     masked = np.zeros(n + 1, dtype=np.int64)  # masked[n] = 0 under the sentinel
     rounds_run = 0
-    for _ in range(rounds):
+    for _ in range(4 * math.ceil(math.log2(n)) + 10):
         send = best > last_sent
         if not send.any():
             break

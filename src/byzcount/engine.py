@@ -24,9 +24,10 @@ Byzantine node, an injected extra or a lie report reaches are looked at,
 the best honest item there comes from the same key with Byzantine
 senders zeroed, and Python verifies only the Byzantine items that outrank
 it (lie receivers verify every item).  ``_collect_injections`` asks the
-adversary for every injection before flooding, ``_count_sends`` counts
-flood messages, and ``_close_subphase`` applies the continuation test,
-the decision and the fold.  The reference loop is driven entirely by
+adversary for every injection before flooding, each round's sends are
+counted from H's degrees (they run along real edges, so none is
+dropped), and ``_close_subphase`` applies the continuation test, the
+decision and the fold.  The reference loop is driven entirely by
 ``byzantine_node_step`` (the honest transition for nodes without a
 policy) plus ``deliver_round``.  Both consume identical color streams and
 fold identical per-subphase state into the transcript hash, so equality
@@ -65,6 +66,7 @@ from .graph import (
     classify_nodes,
     generate_h_graph,
     place_byzantine,
+    _placement_mask,
 )
 from .protocol import (
     ORIGIN,
@@ -117,10 +119,9 @@ def _number(x) -> bool:
 # (fields, check, what they need): types are checked before any comparison
 _FIELD_TYPES = (
     (("n", "d", "seed", "trials"), _integer, "an integer"),
-    (("phase_cap", "a_radius", "tree_radius"),
-     lambda x: x is None or _integer(x), "an integer or null"),
+    (("phase_cap",), lambda x: x is None or _integer(x), "an integer or null"),
     (("delta", "epsilon"), _number, "a number"),
-    (("algorithm", "strategy", "alpha_variant", "engine"),
+    (("algorithm", "strategy", "engine"),
      lambda x: isinstance(x, str), "a string"),
     (("relax_degree",), lambda x: isinstance(x, bool), "true or false"),
 )
@@ -148,11 +149,8 @@ class ExperimentConfig:
     strategy_params: dict = field(default_factory=dict)
     phase_cap: int | None = None
     subphase_factor: int | str = 1
-    alpha_variant: str = "pseudocode"
     trials: int = 1
     band: tuple[float, float] = (0.0, 4.0)
-    a_radius: int | None = None
-    tree_radius: int | None = None
     relax_degree: bool = False
     engine: str = "fast"
 
@@ -181,8 +179,6 @@ class ExperimentConfig:
             make_strategy(self.strategy, self.strategy_params)
         except ValueError as exc:
             raise ConfigError(f"strategy: {exc}") from exc
-        if self.alpha_variant not in ("pseudocode", "prose"):
-            raise ConfigError("alpha_variant: must be 'pseudocode' or 'prose'")
         if self.engine not in ("fast", "reference"):
             raise ConfigError("engine: must be 'fast' or 'reference'")
         if self.phase_cap is not None and self.phase_cap < 1:
@@ -231,7 +227,6 @@ class ExperimentConfig:
 @dataclass
 class _Counters:
     sent: int = 0
-    delivered: int = 0
     dropped: int = 0          # non-edge or spoofed-sender messages
     queries: int = 0          # provenance queries issued
     rejected: int = 0         # tokens failing verification
@@ -246,18 +241,18 @@ def deliver_round(outboxes, topo: Topology, counters: _Counters) -> dict[int, li
     only targets off the sender's ports need the sender's G-row.
     """
     inboxes: dict[int, list[Token]] = {}
-    sent = delivered = 0
+    sent = dropped = 0
     h = topo.h
     for sender, pairs in outboxes.items():
         for dst, tok in pairs:
             sent += 1
             if tok.src == sender and (dst != sender and h.h_adjacent(sender, dst)
                                       or topo.g_adjacent(sender, dst)):
-                delivered += 1
                 inboxes.setdefault(dst, []).append(tok)
+            else:
+                dropped += 1
     counters.sent += sent
-    counters.delivered += delivered
-    counters.dropped += sent - delivered
+    counters.dropped += dropped
     return inboxes
 
 
@@ -420,16 +415,13 @@ class _Run:
         self.d = topo.h.d
         self.k = topo.k
 
-        if byz is not None:
-            self.byz_nodes = np.asarray(byz, dtype=np.int64)
-            if ((self.byz_nodes < 0) | (self.byz_nodes >= self.n)).any():
-                raise ConfigError(f"byz: need node indices in [0, {self.n})")
-        elif cfg.strategy != "none":
-            self.byz_nodes = place_byzantine(self.n, cfg.delta, seed=self.tseed)
-        else:
-            self.byz_nodes = np.zeros(0, dtype=np.int64)
-        self.byz_mask = np.zeros(self.n, dtype=bool)
-        self.byz_mask[self.byz_nodes] = True
+        if byz is None and cfg.strategy != "none":
+            byz = place_byzantine(self.n, cfg.delta, seed=self.tseed)
+        try:
+            self.byz_mask = _placement_mask(self.n, () if byz is None else byz)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.byz_nodes = np.flatnonzero(self.byz_mask)  # sorted, each node once
 
         self.strategy = make_strategy(cfg.strategy, cfg.strategy_params)
         self.adv_rng = stream(cfg.seed, "adversary", trial)
@@ -447,7 +439,6 @@ class _Run:
         self.decided = np.zeros(self.n, dtype=np.int64)
         self.phase_continue = np.zeros(self.n, dtype=bool)
         self.rounds_total = 0
-        self.rounds_setup = 0
         self.per_phase: list[dict] = []
         self.transcript = _Transcript()
         # a run dropped without its digest still ends its fold thread
@@ -455,9 +446,7 @@ class _Run:
         self._decided_folded = self.decided.copy()
         self.states: dict[int, NodeState] | None = None
 
-        self.classification = classify_nodes(
-            topo, self.byz_nodes, a_radius=cfg.a_radius,
-            tree_radius=cfg.tree_radius, delta=cfg.delta)
+        self.classification = classify_nodes(topo, self.byz_mask, delta=cfg.delta)
 
     # -- color streams ---------------------------------------------------
 
@@ -498,8 +487,7 @@ class _Run:
         save little time and hold memory.
         """
         cfg = self.cfg
-        _count_sends(self, int(np.diff(self.topo.l_ptr)[~self.suppressed].sum()))
-        self.rounds_setup = 1
+        self.counters.sent += int(np.diff(self.topo.l_ptr)[~self.suppressed].sum())
         if cfg.algorithm != "byzantine":
             return
         if self.strategy is not None:
@@ -714,25 +702,13 @@ def _collect_injections(run: _Run, i: int, subphases: list[int], threshold: floa
     return replaces, extras
 
 
-def _count_sends(run: _Run, n_sent: int) -> None:
-    """Count ``n_sent`` messages sent along real edges, so all delivered."""
-    run.counters.sent += n_sent
-    run.counters.delivered += n_sent
-
-
 def _delivered_extras(run: _Run, b: int, inj) -> list[int]:
     """Count Byzantine node ``b``'s extra ``inj`` as sent; return the
     targets it reaches (G-neighbours of ``b``), counting the rest dropped."""
-    cnt = run.counters
     targets = inj.targets if inj.targets is not None else run.truthful_report(b)
-    hit = []
-    for dst in targets:
-        cnt.sent += 1
-        if run.topo.g_adjacent(b, int(dst)):
-            cnt.delivered += 1
-            hit.append(int(dst))
-        else:
-            cnt.dropped += 1
+    hit = [int(dst) for dst in targets if run.topo.g_adjacent(b, int(dst))]
+    run.counters.sent += len(targets)
+    run.counters.dropped += len(targets) - len(hit)
     return hit
 
 
@@ -886,7 +862,7 @@ def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
                 key[:n] <<= bits
                 key[:n] |= rank
                 key[:n] *= pos
-            _count_sends(run, int(degrees @ send.sum(axis=1)))
+            run.counters.sent += int(degrees @ send.sum(axis=1))  # along real edges: none dropped
 
     del key, top, buf, best, send, log  # before the closes' column copies, for peak RSS
     for col, j in enumerate(js):
@@ -981,9 +957,7 @@ class RunResult:
     byz_mask: np.ndarray
     capped: bool
     rounds_total: int
-    rounds_setup: int
     messages_sent: int
-    messages_delivered: int
     messages_dropped: int
     queries_total: int
     tokens_rejected: int
@@ -997,6 +971,10 @@ class RunResult:
     @property
     def d(self) -> int:
         return self.config["d"]
+
+    @property
+    def messages_delivered(self) -> int:
+        return self.messages_sent - self.messages_dropped
 
     def _counted(self) -> tuple[int, np.ndarray]:
         return honest_estimates(self.byz_mask, self.crashed, self.decided)
@@ -1054,7 +1032,7 @@ class RunResult:
             "non_deciders": self.non_deciders,
             "capped": self.capped,
             "rounds_total": self.rounds_total,
-            "rounds_setup": self.rounds_setup,
+            "rounds_setup": 1,  # the one round of adjacency-list exchange
             "messages_total": self.messages_sent,
             "messages_delivered": self.messages_delivered,
             "messages_dropped": self.messages_dropped,
@@ -1088,8 +1066,7 @@ def _run_phases(run: _Run) -> bool:
         if i > cap:
             capped = True
             break
-        pp = phase_params(i, cfg.epsilon, cfg.d, cfg.alpha_variant,
-                          cfg.subphase_factor)
+        pp = phase_params(i, cfg.epsilon, cfg.d, cfg.subphase_factor)
         before = (run.counters.sent, run.counters.queries)
         decided_before = int((run.decided > 0).sum())
         S = pp.subphases
@@ -1125,8 +1102,9 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
 
     ``topo``/``byz`` may be supplied to reuse a prebuilt topology or a
     fixed placement (fixtures); by default both derive from the trial
-    seed.  A ``topo`` whose n or d differs from ``cfg``'s, or a ``byz``
-    index outside [0, n), raises ``ConfigError``.
+    seed.  ``byz`` holds node indices or a length-n boolean mask; a
+    ``topo`` whose n or d differs from ``cfg``'s, a ``byz`` index outside
+    [0, n) or a mask of another length raises ``ConfigError``.
     """
     run = _Run(cfg, trial, topo=topo, byz=byz)
     try:
@@ -1140,9 +1118,8 @@ def run_experiment(cfg: ExperimentConfig, trial: int = 0,
         node_ids=run.topo.h.ids,
         class_labels=np.where(run.byz_mask, "byz", np.where(cls.bus, "bus", "byz_safe")),
         decided=run.decided, crashed=run.crashed, byz_mask=run.byz_mask,
-        capped=capped, rounds_total=run.rounds_total, rounds_setup=run.rounds_setup,
-        messages_sent=cnt.sent, messages_delivered=cnt.delivered,
-        messages_dropped=cnt.dropped, queries_total=cnt.queries,
+        capped=capped, rounds_total=run.rounds_total,
+        messages_sent=cnt.sent, messages_dropped=cnt.dropped, queries_total=cnt.queries,
         tokens_rejected=cnt.rejected, per_phase=run.per_phase,
         transcript_hash=digest)
 
@@ -1176,7 +1153,6 @@ def simulate_subphase(topo: Topology, phase: int, *,
                       strategy: str = "none",
                       strategy_params: dict | None = None,
                       algorithm: str = "byzantine",
-                      epsilon: float = ExperimentConfig.epsilon,
                       threshold: float | None = None,
                       seed: int = 0,
                       relax_degree: bool = False) -> SubphaseTrace:
@@ -1189,10 +1165,9 @@ def simulate_subphase(topo: Topology, phase: int, *,
     cfg = ExperimentConfig(
         n=topo.h.n, d=topo.h.d, seed=seed, algorithm=algorithm,
         strategy=strategy, strategy_params=dict(strategy_params or {}),
-        epsilon=epsilon, relax_degree=relax_degree,
+        relax_degree=relax_degree,
         delta=1.0 if topo.h.d < 8 else ExperimentConfig.delta)
-    run = _Run(cfg, trial=0, topo=topo,
-               byz=byz if byz is not None else np.zeros(0, dtype=np.int64))
+    run = _Run(cfg, trial=0, topo=topo, byz=() if byz is None else byz)
     try:
         run.run_setup(full=False)
         if colors is None:

@@ -72,7 +72,7 @@ class HMultigraph:
     ----------
     n, d : int
         Node count and (target) degree.  Generated graphs are exactly
-        d-regular; hand-built fixtures may deviate (``check=False``).
+        d-regular; hand-built fixtures may deviate.
     edges : np.ndarray
         Shape (m, 3) int64 array of rows ``(u, v, cycle_label)`` with
         labels in 1..d/2.  Parallel edges appear as repeated (u, v) rows.
@@ -118,17 +118,10 @@ class HMultigraph:
         self.ports[row, src] = dst
 
     @classmethod
-    def from_edges(cls, n: int, d: int, edges, seed: int = 0, check: bool = False) -> "HMultigraph":
-        """Wrap an explicit edge list; ``check=True`` enforces d-regularity."""
-        g = cls(n=n, d=d, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 3),
-                ids=derive_node_ids(n, seed), seed=seed)
-        if check:
-            if not np.all(g.degrees == d):
-                raise ValueError("edge list is not d-regular")
-            labels = g.edges[:, 2]
-            if labels.size and (labels.min() < 1 or labels.max() > max(d // 2, 1)):
-                raise ValueError("cycle labels out of range")
-        return g
+    def from_edges(cls, n: int, d: int, edges, seed: int = 0) -> "HMultigraph":
+        """Wrap an explicit edge list, as given: it need not be d-regular."""
+        return cls(n=n, d=d, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 3),
+                   ids=derive_node_ids(n, seed), seed=seed)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbors of v with multiplicity (one entry per incident edge), sorted."""
@@ -495,26 +488,19 @@ def place_byzantine(n: int, delta: float, seed: int) -> np.ndarray:
     return np.sort(picks.astype(np.int64))
 
 
-def classify_nodes(
-    topo: Topology,
-    byz: np.ndarray,
-    a_radius: int | None = None,
-    tree_radius: int | None = None,
-    delta: float | None = None,
-) -> NodeClassification:
+def classify_nodes(topo: Topology, byz, delta: float) -> NodeClassification:
     """Partition nodes into the safety classes used by the analysis.
 
     Parameters
     ----------
     topo : Topology
-    byz : np.ndarray
-        Indices (or boolean mask) of Byzantine nodes.
-    a_radius : int, optional
-        G-distance margin defining the blast radius around bad nodes.
-        Defaults to ceil(a log2 n) with a = delta/(10 k log2(d-1)),
-        clamped to >= 1; requires ``delta`` when defaulted.
-    tree_radius : int, optional
-        Census radius; defaults to max(1, floor(log2 n / (10 log2 d))).
+    byz : array_like
+        The Byzantine placement, as node indices or a length-n boolean mask
+        (see ``_placement_mask``).
+    delta : float
+        Sets the blast radius around bad nodes, G-distance k·a_radius with
+        a_radius = ceil(a log2 n), a = delta/(10 k log2(d-1)), clamped to
+        >= 1.  The census radius is max(1, floor(log2 n / (10 log2 d))).
 
     Returns
     -------
@@ -522,14 +508,9 @@ def classify_nodes(
         Masks byz / ltl / bus plus the derived views nlt, bad and byz_safe.
     """
     h, n, k = topo.h, topo.n, topo.k
-    byz = np.asarray(byz)
-    byz_mask = byz.astype(bool) if byz.dtype == np.bool_ else _mask_from_idx(n, byz)
-    if tree_radius is None:
-        tree_radius = default_tree_radius(n, h.d)
-    if a_radius is None:
-        if delta is None:
-            raise ValueError("a_radius defaulting requires delta")
-        a_radius = default_a_radius(n, h.d, k, delta)
+    byz_mask = _placement_mask(n, byz)
+    tree_radius = default_tree_radius(n, h.d)
+    a_radius = default_a_radius(n, h.d, k, delta)
     ltl = census_locally_tree_like(h, tree_radius)
     bad_idx = np.flatnonzero(byz_mask | ~ltl)
     bus = reach_within(h, bad_idx, k * a_radius)
@@ -537,10 +518,20 @@ def classify_nodes(
                               a_radius=a_radius, tree_radius=tree_radius)
 
 
-def _mask_from_idx(n: int, idx: np.ndarray) -> np.ndarray:
-    """The (n,) mask of node indices ``idx``; an index outside [0, n) is a
-    ``ValueError``, not a node counted from the end."""
-    idx = np.asarray(idx, dtype=np.int64)
+def _placement_mask(n: int, byz) -> np.ndarray:
+    """The (n,) mask of a Byzantine placement ``byz``, given as node
+    indices (a repeated index marks its node once) or as a boolean mask
+    of length n, which is copied.  A mask of another length, a
+    non-integer index or one outside [0, n) is a ``ValueError``, not a
+    node counted from the end."""
+    byz = np.asarray(byz)
+    if byz.dtype == np.bool_:
+        if byz.shape != (n,):
+            raise ValueError(f"byz: need a boolean mask of length {n}, got shape {byz.shape}")
+        return byz.copy()
+    if byz.size and byz.dtype.kind not in "iu":
+        raise ValueError(f"byz: need node indices or a boolean mask, got dtype {byz.dtype}")
+    idx = byz.astype(np.int64)
     if ((idx < 0) | (idx >= n)).any():
         raise ValueError(f"byz: need node indices in [0, {n})")
     mask = np.zeros(n, dtype=bool)

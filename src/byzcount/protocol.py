@@ -83,19 +83,17 @@ def draw_colors(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.geometric(0.5, size=size).astype(np.int64)
 
 
-def alpha_subphases(i: int, epsilon: float, d: int, variant: str = "pseudocode") -> int:
-    """Number of subphases alpha_i of phase i.
+def alpha_subphases(i: int, epsilon: float, d: int) -> int:
+    """Number of subphases alpha_i of phase i, by the pseudocode's two-case rule.
 
-    The default follows the two-case rule: while the round-i boundary
-    d(d-1)^(i-2) is still small relative to 2/epsilon,
+    While the round-i boundary d(d-1)^(i-2) is still small relative to
+    2/epsilon,
 
         alpha_i = ceil( (log2(1/eps) + i + 1) / (log2 d + (i-2) log2(d-1) - 1) ),
 
-    afterwards alpha_i = ceil(1 + (i+1)/log2(1/eps)).  The "prose" variant
-    uses the single formula
-    ceil( (log2(1/eps) + i + 1 - log2 d) / ((i-2) log2(d-1)) ).
-    Denominators are clamped to >= 1 (they cross zero for i <= 2) and the
-    result is clamped to >= 1.
+    afterwards alpha_i = ceil(1 + (i+1)/log2(1/eps)).  The denominator is
+    clamped to >= 1 (it crosses zero for i <= 2) and the result is clamped
+    to >= 1.
     """
     if i < 1:
         raise ValueError("phase index must be >= 1")
@@ -103,20 +101,13 @@ def alpha_subphases(i: int, epsilon: float, d: int, variant: str = "pseudocode")
         raise ValueError("epsilon must lie in (0, 1)")
     if d < 2:
         raise ValueError("d must be >= 2")
-    if variant not in ("pseudocode", "prose"):
-        raise ValueError(f"unknown alpha variant: {variant!r}")
     log_inv_eps = math.log2(1.0 / epsilon)
-    if variant == "pseudocode":
-        if d * (d - 1) ** (i - 2) <= 2.0 / epsilon:
-            num = log_inv_eps + i + 1
-            den = max(1.0, math.log2(d) + (i - 2) * math.log2(d - 1) - 1.0)
-            val = math.ceil(num / den)
-        else:
-            val = math.ceil(1.0 + (i + 1) / log_inv_eps)
-    else:
-        num = log_inv_eps + i + 1 - math.log2(d)
-        den = max(1.0, (i - 2) * math.log2(d - 1))
+    if d * (d - 1) ** (i - 2) <= 2.0 / epsilon:
+        num = log_inv_eps + i + 1
+        den = max(1.0, math.log2(d) + (i - 2) * math.log2(d - 1) - 1.0)
         val = math.ceil(num / den)
+    else:
+        val = math.ceil(1.0 + (i + 1) / log_inv_eps)
     return max(1, val)
 
 
@@ -132,14 +123,14 @@ def continuation_threshold(i: int, d: int) -> float:
     return l - math.log2(l) if l >= 1 else l
 
 
-def phase_params(i: int, epsilon: float, d: int, variant: str = "pseudocode",
+def phase_params(i: int, epsilon: float, d: int,
                  subphase_factor: int | str = 1) -> PhaseParams:
     """Bundle alpha_i, the effective subphase count and the threshold.
 
     ``subphase_factor`` multiplies the subphase count; the literal
     ``"phase"`` selects the i * alpha_i reading.
     """
-    alpha = alpha_subphases(i, epsilon, d, variant)
+    alpha = alpha_subphases(i, epsilon, d)
     if subphase_factor == "phase":
         subphases = alpha * i
     else:

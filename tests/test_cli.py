@@ -133,9 +133,13 @@ def test_mistyped_scalar_fields_exit_three(tmp_path, fields, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_run_unknown_field_is_config_error(tmp_path):
-    config = _write(tmp_path / "cfg.json", {"n": 64, "warp_drive": 1})
-    assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
+def test_run_unknown_field_is_config_error(tmp_path, capsys):
+    # the paper fixes alpha and both radii by formula: none is a config field
+    for name, value in (("warp_drive", 1), ("alpha_variant", "prose"),
+                        ("a_radius", 2), ("tree_radius", 2)):
+        config = _write(tmp_path / "cfg.json", {"n": 64, name: value})
+        assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
+        assert f"unknown fields {name}" in capsys.readouterr().err
 
 
 def test_run_missing_config_file_is_io_error(tmp_path):

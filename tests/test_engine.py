@@ -27,7 +27,8 @@ from byzcount.engine import (
     write_summary_json,
     write_trial_csv,
 )
-from byzcount.graph import HMultigraph, augment_small_world, classify_nodes, generate_h_graph
+from byzcount.graph import (HMultigraph, augment_small_world, classify_nodes,
+                            generate_h_graph, place_byzantine)
 from byzcount.protocol import (ORIGIN, NodeState, RoundContext, Token,
                                TopologyConflict, claim_table, honest_node_step,
                                reconstruct_local_topology)
@@ -57,7 +58,7 @@ def test_config_defaults_resolve():
     ({"delta": 1.5}, "delta"),
     ({"algorithm": "quantum"}, "algorithm"),
     ({"strategy": "zerg"}, "strategy"),
-    ({"alpha_variant": "poetry"}, "alpha_variant"),
+    ({"algorithm": 3}, "algorithm: need a string"),
     ({"engine": "steam"}, "engine"),
     ({"phase_cap": 0}, "phase_cap"),
     ({"trials": 0}, "trials"),
@@ -101,14 +102,18 @@ def test_relax_degree_admits_fixture_parameters():
 def test_from_dict_round_trip_and_unknown_field():
     cfg = ExperimentConfig.from_dict({"n": 64, "band": [1.0, 3.0], "seed": 4})
     assert cfg.n == 64 and cfg.band == (1.0, 3.0)
-    with pytest.raises(ConfigError, match="flux_capacitor"):
-        ExperimentConfig.from_dict({"n": 64, "flux_capacitor": 1})
+    # the paper fixes alpha and both radii by formula: none is a config field
+    for name, value in (("flux_capacitor", 1), ("alpha_variant", "prose"),
+                        ("a_radius", 2), ("tree_radius", 2)):
+        with pytest.raises(ConfigError, match=f"unknown fields {name}"):
+            ExperimentConfig.from_dict({"n": 64, name: value})
 
 
 @pytest.mark.parametrize("n,byz,fragment", [
     (4096, None, "topo"),    # a 64-node topology under n=4096
     (64, [-1], "byz"),       # would mark node 63 Byzantine
     (64, [64], "byz"),       # would index past the node set
+    (64, np.ones(63, dtype=bool), "length 64"),  # a mask one node short
 ])
 def test_fixtures_must_fit_the_config(n, byz, fragment):
     topo = augment_small_world(generate_h_graph(64, 8, seed=0))
@@ -117,21 +122,37 @@ def test_fixtures_must_fit_the_config(n, byz, fragment):
         run_experiment(cfg, topo=topo, byz=byz)
 
 
+def test_a_placement_marks_each_node_once():
+    # the digest of the placement given once, on both executors: a repeated
+    # index must not make the fast path ask its node for injections twice,
+    # and a boolean mask is not the index list [0, 1]
+    byz = place_byzantine(256, 0.6, 7)
+    mask = np.zeros(256, dtype=bool)
+    mask[byz] = True
+    for executor in ("fast", "reference"):
+        cfg = ExperimentConfig(n=256, seed=2, algorithm="byzantine",
+                               strategy="late_injector", engine=executor)
+        for placement in (byz, np.concatenate([byz, byz]), mask):
+            res = run_experiment(cfg, byz=placement)
+            assert res.transcript_hash == "94e7d0b069b9877ba34ce51771b39304"
+            np.testing.assert_array_equal(res.byz_mask, mask)
+
+
 # ---------------------------------------------------------------------------
 # message delivery
 # ---------------------------------------------------------------------------
 
 def test_deliver_round_moves_tokens_along_g_edges(path6):
-    counters = SimpleNamespace(sent=0, delivered=0, dropped=0)
+    counters = SimpleNamespace(sent=0, dropped=0)
     assert deliver_round({}, path6, counters) == {}
     tok = _tok(3, 1, 0)
     inboxes = deliver_round({0: [(1, tok)]}, path6, counters)
     assert inboxes == {1: [tok]}
-    assert (counters.sent, counters.delivered, counters.dropped) == (1, 1, 0)
+    assert (counters.sent, counters.dropped) == (1, 0)
 
 
 def test_deliver_round_drops_spoofed_and_off_graph_messages(path6):
-    counters = SimpleNamespace(sent=0, delivered=0, dropped=0)
+    counters = SimpleNamespace(sent=0, dropped=0)
     spoofed = _tok(3, 1, 5)                   # claims to come from node 5
     far = _tok(3, 1, 0)
     inboxes = deliver_round({0: [(1, spoofed), (4, far)]}, path6, counters)
@@ -143,13 +164,13 @@ def test_deliver_round_checks_the_g_row_beyond_h_ports():
     # path 0-1-2-3-4-5 with k=2: 2 is a G- but not an H-neighbor of 0
     topo = augment_small_world(
         HMultigraph.from_edges(6, 2, [(u, u + 1, 1) for u in range(5)]), k=2)
-    counters = SimpleNamespace(sent=0, delivered=0, dropped=0)
+    counters = SimpleNamespace(sent=0, dropped=0)
     tok = _tok(3, 1, 0)
-    for dst, msg, want, counts in ((2, tok, {2: [tok]}, (1, 1, 0)),
-                                   (3, tok, {}, (2, 1, 1)),
-                                   (1, _tok(3, 1, 2), {}, (3, 1, 2))):
+    for dst, msg, want, counts in ((2, tok, {2: [tok]}, (1, 0)),
+                                   (3, tok, {}, (2, 1)),
+                                   (1, _tok(3, 1, 2), {}, (3, 2))):
         assert deliver_round({0: [(dst, msg)]}, topo, counters) == want
-        assert (counters.sent, counters.delivered, counters.dropped) == counts
+        assert (counters.sent, counters.dropped) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +183,14 @@ def _metrics(topo, decided, byz=(), band=(0.5, 4.0), labels=None):
     byz_mask = np.zeros(n, dtype=bool)
     byz_mask[byz] = True
     if labels is None:
-        cls = classify_nodes(topo, byz, a_radius=1)
+        cls = classify_nodes(topo, byz, delta=0.6)
         labels = np.where(byz_mask, "byz", np.where(cls.bus, "bus", "byz_safe"))
     return RunResult(
         config=ExperimentConfig(n=n, band=band).to_dict(), trial=0, trial_seed=1,
         node_ids=topo.h.ids, class_labels=np.asarray(labels),
         decided=np.asarray(decided, dtype=np.int64), crashed=np.zeros(n, dtype=bool),
-        byz_mask=byz_mask, capped=False, rounds_total=5, rounds_setup=1,
-        messages_sent=10, messages_delivered=10, messages_dropped=0,
+        byz_mask=byz_mask, capped=False, rounds_total=5,
+        messages_sent=10, messages_dropped=0,
         queries_total=0, tokens_rejected=0, per_phase=[], transcript_hash="f" * 8)
 
 
@@ -1077,13 +1098,13 @@ def test_csv_and_json_outputs(tmp_path):
 # JSON (key order included): a capped run where every node is a
 # non-decider, crashed honest nodes, success below 1, silent nodes
 SUMMARY_DIGESTS = [
-    (dict(n=300, algorithm="basic", phase_cap=2), "dba847cc438456cd"),
+    (dict(n=300, algorithm="basic", phase_cap=2), "d8ebe03a8c68fcda"),
     (dict(n=256, algorithm="byzantine", strategy="topology_liar", delta=0.7),
-     "39f9e8088cf19682"),
+     "de24a51d15e8420a"),
     (dict(n=256, algorithm="byzantine", strategy="honest_mimic", delta=0.4,
-          band=(0.5, 1.0)), "0951b2030a00987c"),
+          band=(0.5, 1.0)), "a9ed4426c9f1769e"),
     (dict(n=512, algorithm="byzantine", strategy="silent", delta=0.7),
-     "70a01fe2d810d602"),
+     "92b40a8279a4445e"),
 ]
 
 

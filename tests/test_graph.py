@@ -486,7 +486,7 @@ def test_most_nodes_are_tree_like_at_scale():
 
 def test_classification_all_honest_cycle(cycle6):
     topo = augment_small_world(cycle6, k=1)
-    cls = classify_nodes(topo, np.array([], dtype=np.int64), a_radius=1)
+    cls = classify_nodes(topo, np.array([], dtype=np.int64), delta=1.0)
     assert cls.ltl.all()
     assert not cls.bad.any()
     assert cls.byz_safe.all()
@@ -501,7 +501,7 @@ def test_classification_no_byzantine_means_bad_equals_nlt(topo512):
 
 
 def test_classification_requires_delta_when_defaulted(topo512):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # delta sets the blast radius
         classify_nodes(topo512, np.array([0]))
 
 
@@ -510,6 +510,15 @@ def test_classification_rejects_byzantine_indices_outside_the_node_set(topo512, 
     # -1 would mark node 511 Byzantine; 512 would index past the node set
     with pytest.raises(ValueError, match="byz"):
         classify_nodes(topo512, np.array([idx]), delta=0.6)
+
+
+@pytest.mark.parametrize("byz", [np.array([True]), np.ones(513, dtype=bool),
+                                 np.array([1.5])])
+def test_classification_rejects_malformed_placements(topo512, byz):
+    # a length-1 mask would broadcast over the node set, putting every node
+    # in the blast radius; a fractional index would be truncated
+    with pytest.raises(ValueError, match="byz"):
+        classify_nodes(topo512, byz, delta=0.6)
 
 
 @settings(max_examples=25, deadline=None)
