@@ -59,7 +59,7 @@ def run_support_estimation(topo: Topology,
     h = topo.h
     n = h.n
     rng = stream(seed, "trial", 0)
-    samples = draw_colors(rng, n)
+    samples = draw_colors(rng, n).astype(np.int64)  # byz_value may exceed any color
     byz_mask = _placement_mask(n, () if byz is None else byz)
     if byz_value is not None:
         samples[byz_mask] = int(byz_value)

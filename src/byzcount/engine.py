@@ -38,11 +38,15 @@ hashes them while the next flood runs (small items are hashed inline), so
 the digest is that of an inline int64 fold, and the run joins the thread
 before it returns or raises.
 The reference copies one node state per node step and keeps forwarding
-logs per subphase, so it grows linearly with run length.  Its setup shares
-the real H rows, tallied once, patches in only Byzantine reports and scans
-only pairs with a lie for conflicts.  On a 2-core Xeon VM a
-hardened trial takes ~0.1 s at n=128, ~0.6 s at n=512 and ~1.7 s at
-n=1024 (a quarter of it setup), where the fast path takes ~0.05 s.
+logs per subphase, so it grows linearly with run length.  Both executors'
+setups patch in only Byzantine reports, scan for conflicts from the lies,
+reading the honest side through the liars' real rows, and tally a real H
+row only when a view reads it, once per run.  On a 2-core Xeon VM at its
+fast speed (the host also runs up to ~1.7x slower), a hardened liar +
+max_injector trial takes ~0.06 s at n=128, ~0.3 s at n=512 and ~0.8 s at
+n=1024 on the reference (a fifth of it setup), where the fast path takes
+~0.02 s; a liar + late_injector trial at 2^16 takes ~0.6 s on the fast
+path, ~0.01 s of it setup.
 """
 
 from __future__ import annotations
@@ -457,8 +461,6 @@ class _Run:
     # -- setup ----------------------------------------------------------
 
     def truthful_report(self, v: int) -> tuple[int, ...]:
-        # built per call: keeping the tuples of the ~38k report senders a
-        # 2^16 run's lie receivers hear costs ~9 MiB of peak RSS there
         return tuple(self.topo.h.neighbors(v).tolist())
 
     def run_setup(self, full: bool) -> None:
@@ -472,19 +474,20 @@ class _Run:
         keeps a faithful stand-in view, which is exact because truthful
         reports of length d always reconstruct faithfully.
 
-        A receiver's reports start as the real H rows of its G-row, in row
-        order; only its Byzantine senders are then asked for a
-        ``setup_report``.  A lie replaces that sender's table, a silent
-        strategy drops it, and either way the sender leaves ``trusted``.
-        The rest are rows of the symmetric H, so no two trusted tables
-        disagree and the conflict scan checks only pairs with a lie, and
-        a trusted table's length is its sender's H degree, so only lies
-        are summed for the length-d check.  The
-        full setup tallies the n real rows once and shares them by
-        reference with every receiver and view.  The lie-receiver setup
-        tallies each report afresh: in a 2^16 liar run its 84 receivers
-        hear 38,182 reports from 28,995 senders, so shared tables would
-        save little time and hold memory.
+        A receiver's holders start as itself and its G-row, all trusted;
+        only its Byzantine senders are then asked for a ``setup_report``.
+        A lie becomes that sender's table, a silent strategy drops the
+        sender, and either way the sender leaves ``trusted``.  A trusted
+        holder sent its real H row, so its length is its H degree and
+        only lies are summed for the length-d check, and the conflict
+        scan reads its side of a pair with a liar through the liar's real
+        row: a receiver that crashes builds no table for a trusted report
+        (in a 2^16 liar run the 84 lie receivers hear 38,182 reports from
+        28,995 senders and all crash).  One that keeps a view reads the
+        trusted rows its ball reaches through ``h_row``, which tallies a
+        real row when it is first read and shares it by reference with
+        every later receiver and view, so the many views a broadcast lie
+        leaves hold each row once.
         """
         cfg = self.cfg
         self.counters.sent += int(np.diff(self.topo.l_ptr)[~self.suppressed].sum())
@@ -498,28 +501,32 @@ class _Run:
         receivers = set(range(self.n)) if full else set(self.lie_rx_set)
         for u in np.flatnonzero(odd):
             receivers.update(self.topo.l_neighbors(u).tolist())
-        if full:
-            table = [claim_table(self.truthful_report(u)) for u in range(self.n)].__getitem__
-        else:
-            def table(u: int) -> dict[int, int]:
-                return claim_table(self.truthful_report(u))
+        rows: dict[int, dict[int, int]] = {}
+
+        def h_row(u: int) -> dict[int, int]:
+            if not 0 <= u < self.n:
+                return {}  # a phantom id: no real row names it
+            if (table := rows.get(u)) is None:
+                table = rows[u] = claim_table(self.truthful_report(u))
+            return table
+
         ask = self.byz_mask & (self.strategy is not None)
         for v in sorted(receivers):
             row = self.topo.l_neighbors(v)
-            reports = {u: table(u) for u in row.tolist()}
-            trusted = {v, *reports}
+            trusted = {v, *row.tolist()}
+            lies = {}
             for u in row[ask[row]].tolist():
-                if silent:
-                    del reports[u]
-                elif (rep := self.strategy.setup_report(u, v)) is not None:
-                    reports[u] = claim_table(rep)
-                else:
-                    continue
+                if not silent:
+                    rep = self.strategy.setup_report(u, v)
+                    if rep is None:
+                        continue
+                    lies[u] = claim_table(rep)
                 trusted.remove(u)
             # a trusted report is a real H row, as long as its sender's degree
             short = any(u in trusted for u in row[odd[row]].tolist())
             res = None if short else reconstruct_local_topology(
-                v, table(v), reports, self.k, expected_degree=self.d, trusted=trusted)
+                v, h_row(v), lies, self.k, expected_degree=self.d, trusted=trusted,
+                h_row=h_row)
             if res is None or isinstance(res, TopologyConflict):
                 if not self.byz_mask[v]:
                     self.crashed[v] = True
@@ -796,7 +803,7 @@ def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
     best = np.zeros((n, S), dtype=np.uint8)
     for col, j in enumerate(js):  # column by column: an int64 (n, S) copy costs peak RSS
         c = run.colors(i, j) if colors is None else colors[:, col]
-        c = np.where(live & (c >= 1), c, 0)
+        c = np.where(live & (c >= 1), c, 0)  # a drawn column stays uint8
         best = best.astype(np.promote_types(best.dtype, _key_dtype(n, bits, c, injected)),
                            copy=False)
         best[:, col] = c

@@ -79,8 +79,23 @@ class PhaseParams:
 
 
 def draw_colors(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vector of independent colors (geometric, Pr[c = r] = 2^-r)."""
-    return rng.geometric(0.5, size=size).astype(np.int64)
+    """Vector of independent colors (geometric, Pr[c = r] = 2^-r), as uint8.
+
+    The colors are those of ``rng.geometric(0.5, size)``, from the same
+    stream, drawn in closed form.  numpy draws a geometric with p >= 1/3 by
+    a search that reads one uniform double U per sample, the one
+    ``rng.random`` returns, and returns the least c with U <= 1 − 2^-c,
+    i.e. with 2^-c <= 1 − U.  Both 1 − U and ``frexp`` are exact on those
+    doubles, so c = max(1, 1 − e) for the exponent e of 1 − U = m·2^e,
+    m in [1/2, 1).  As U >= 0 takes multiples of 2^-53 below 1, every
+    color lies in [1, 53].
+    """
+    u = rng.random(size)
+    np.subtract(1.0, u, out=u)
+    exp = np.frexp(u, out=(u, np.empty(u.shape, dtype=np.int32)))[1]
+    np.subtract(1, exp, out=exp)
+    np.maximum(exp, 1, out=exp)
+    return exp.astype(np.uint8)
 
 
 def alpha_subphases(i: int, epsilon: float, d: int) -> int:
@@ -368,6 +383,7 @@ def reconstruct_local_topology(
     k: int,
     expected_degree: int | None = None,
     trusted: Collection[int] = frozenset(),
+    h_row: Callable[[int], Mapping[int, int]] | None = None,
 ) -> LocalView | TopologyConflict:
     """Assemble B_H(center, k) from neighbor reports, or detect a conflict.
 
@@ -376,26 +392,30 @@ def reconstruct_local_topology(
     center : int
     own : mapping
         The claim table of the node's own H-ports (neighbor ->
-        multiplicity, see ``claim_table``); trusted.
+        multiplicity, see ``claim_table``).
     reports : mapping
         reporter -> claim table of its claimed H-neighbors, one entry per
-        G-neighbor that answered.  Missing reporters are allowed; their
-        edges are taken from the other endpoint's claim.  The tables are
-        read, never written, and the returned view holds them by
-        reference, so callers may share one table among many receivers.
+        G-neighbor that answered and is not in ``trusted``.  Missing
+        reporters are allowed; their edges are taken from the other
+        endpoint's claim.  The tables are read, never written, and the
+        returned view holds them by reference, so callers may share one
+        table among many receivers.
     k : int
         Ball radius to reconstruct.
     expected_degree : int, optional
-        When set, any untrusted report whose multiplicities do not sum to
-        it is itself a conflict.
+        When set, any report in ``reports`` whose multiplicities do not
+        sum to it is itself a conflict.
     trusted : collection of int, optional
-        Holders whose claim table is their real row of H and, when
-        ``expected_degree`` is set, of that length: a real row's length is
-        its holder's H degree, so the caller checks it once per holder
-        rather than once per receiver.  H is symmetric with multiplicity,
-        so trusted x, y have ``T_x.get(y, 0) == T_y.get(x, 0)``: the scan
-        skips such pairs and finds the same first conflict and view.
-        Empty (the default) checks every report and scans every pair.
+        Claim holders that sent their real row of H and, when
+        ``expected_degree`` is set, of that length: a real row's length
+        is its holder's H degree, so the caller checks it once per holder
+        rather than once per receiver.  The center's table is ``own``;
+        no other trusted holder is a key of ``reports``, and its table is
+        ``h_row`` of it, read only when the view's BFS reaches it.  Empty
+        (the default) checks every pair of holders.
+    h_row : callable, optional
+        node -> claim table of its real H row (empty for an id that is no
+        node); needed when ``trusted`` is non-empty.
 
     Returns
     -------
@@ -404,34 +424,56 @@ def reconstruct_local_topology(
         multiplicity of an edge between them (one claiming an edge the
         other denies is the multiplicity pair 1 vs 0), or a report is
         malformed.  Honest, truthful reports can never produce one.
+
+    The scan starts from the untrusted holders.  H is symmetric with
+    multiplicity, so two trusted holders always agree, and a trusted y
+    names an untrusted x exactly as often as x's real row names y: for
+    each untrusted table the scan checks the pairs it claims, reading a
+    trusted holder's side through x's real row, and then the trusted
+    holders that x's real row names.  No trusted table is built unless
+    the scan passes, and the conflict it finds exists iff the scan of
+    every pair finds one, though not always the same first one.
     """
+    if trusted and h_row is None:
+        raise ValueError("trusted holders are read through h_row; pass it")
     claims = {center: own}
     for reporter, table in reports.items():
-        if (expected_degree is not None and reporter not in trusted
-                and sum(table.values()) != expected_degree):
+        if expected_degree is not None and sum(table.values()) != expected_degree:
             return TopologyConflict(center=center, a=int(reporter), b=int(reporter),
                                     detail="report length != d")
         claims[int(reporter)] = table
+    holders = claims.keys() | trusted
+    untrusted = [x for x in claims if x not in trusted]
 
-    # Any one-sided mention of a pair where both hold claim tables, not
-    # both trusted, is a contradiction (covers both "claims an edge the
-    # other denies" and mismatched parallel-edge multiplicities).
-    untrusted = claims.keys() - trusted
-    if untrusted:
-        for x, nbrs in claims.items():
-            others = claims if x in untrusted else untrusted
-            for y, mult in nbrs.items():
-                if y in others and claims[y].get(x, 0) != mult:
-                    return TopologyConflict(center=center, a=x, b=y,
-                                            detail="asymmetric adjacency claim")
+    # Any one-sided mention of a pair of holders, not both trusted, is a
+    # contradiction (covers both "claims an edge the other denies" and
+    # mismatched parallel-edge multiplicities).
+    for x in untrusted:
+        table = claims[x]
+        real = h_row(x) if trusted else {}
+        for y, mult in table.items():
+            if y in holders and (real.get(y, 0) if y in trusted
+                                 else claims[y].get(x, 0)) != mult:
+                return TopologyConflict(center=center, a=x, b=y,
+                                        detail="asymmetric adjacency claim")
+        for y, mult in real.items():
+            if y in trusted and table.get(y, 0) != mult:
+                return TopologyConflict(center=center, a=y, b=x,
+                                        detail="asymmetric adjacency claim")
 
     # Past the scan, any two holders agree on every edge between them: a
     # holder's neighbors are its own claim, and a node without a claim is
-    # known only from the holders that name it.
+    # known only from the holders that name it (a trusted holder names it
+    # as often as its real row names that holder).
     def claimed_neighbors(x: int) -> Mapping[int, int]:
         if x in claims:
             return claims[x]
-        return {y: their[x] for y, their in claims.items() if x in their}
+        if x in trusted:
+            return h_row(x)
+        named = {y: claims[y][x] for y in untrusted if x in claims[y]}
+        if trusted:
+            named.update((y, m) for y, m in h_row(x).items() if y in trusted)
+        return named
 
     # BFS over the claimed edge relation out to depth k
     tables = {center: claimed_neighbors(center)}

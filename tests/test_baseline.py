@@ -36,9 +36,11 @@ def test_single_byzantine_node_owns_the_estimate(topo1024):
     honest = ~est.byz
     assert (est.final_max[honest] == 100).all()
     assert est.byz.sum() == 1
-    # the forged value is arbitrary: any magnitude wins
+    # the forged value is arbitrary: any magnitude wins, flooded whole
+    # although the colors are drawn as uint8
     est2 = run_support_estimation(topo1024, byz=np.array([123]),
                                   byz_value=10**6, seed=0)
+    assert est2.samples.dtype == np.int64 and est2.samples[123] == 10**6
     assert est2.global_max == 10**6
 
 

@@ -324,18 +324,23 @@ def test_fast_and_reference_executors_agree(algorithm, strategy):
 
 
 LIAR_MAX = {"parts": [{"name": "topology_liar"}, {"name": "max_injector"}]}
-GRID_STRATEGIES = {"none": {}, "silent": {}, "max_injector": {},
-                   "topology_liar": {}, "composite": LIAR_MAX}
+LIAR_BROADCAST = {"target_mode": "broadcast"}
+# label -> (strategy, strategy_params)
+GRID_STRATEGIES = {"none": ("none", {}), "silent": ("silent", {}),
+                   "max_injector": ("max_injector", {}), "topology_liar": ("topology_liar", {}),
+                   "liar_broadcast": ("topology_liar", LIAR_BROADCAST),
+                   "composite": ("composite", LIAR_MAX)}
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([64, 96, 128]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        algorithm=st.sampled_from(["basic", "byzantine"]),
-       strategy=st.sampled_from(sorted(GRID_STRATEGIES)))
-def test_executors_agree_on_a_grid(n, seed, algorithm, strategy):
+       label=st.sampled_from(sorted(GRID_STRATEGIES)))
+def test_executors_agree_on_a_grid(n, seed, algorithm, label):
+    strategy, params = GRID_STRATEGIES[label]
     _assert_executors_agree(n=n, seed=seed, algorithm=algorithm, strategy=strategy,
-                            strategy_params=GRID_STRATEGIES[strategy])
+                            strategy_params=params)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -346,10 +351,30 @@ def test_executors_agree_under_late_injection():
                             strategy="late_injector")
 
 
-@pytest.mark.parametrize("strategy", ["topology_liar", "max_injector", "composite"])
-def test_executors_agree_at_n512(strategy):
+@pytest.mark.parametrize("label", ["topology_liar", "max_injector", "composite"])
+def test_executors_agree_at_n512(label):
+    strategy, params = GRID_STRATEGIES[label]
     _assert_executors_agree(n=512, seed=0, algorithm="byzantine", strategy=strategy,
-                            strategy_params=GRID_STRATEGIES[strategy])
+                            strategy_params=params)
+
+
+def test_executors_agree_when_broadcast_lie_receivers_keep_views():
+    # at n <= 256 a broadcast lie crashes every receiver; at n=512, seed 2
+    # two receivers sit more than k hops from the hidden child and keep a view
+    cfg = dict(n=512, seed=2, algorithm="byzantine", strategy="topology_liar",
+               strategy_params=LIAR_BROADCAST)
+    run = engine._Run(ExperimentConfig(**cfg), trial=0)
+    run.run_setup(full=False)
+    assert len(run.lie_rx_set) > 1 and run.lie_rx_set <= run.views.keys()
+    # the views hold one shared table per honest node's real row
+    held = {}
+    for view in run.views.values():
+        for u, table in view.tables.items():
+            if 0 <= u < run.n and not run.byz_mask[u]:
+                held.setdefault(u, []).append(table)
+    assert any(len(tables) > 1 for tables in held.values())
+    assert all(len({id(t) for t in tables}) == 1 for tables in held.values())
+    _assert_executors_agree(**cfg)
 
 
 def test_executors_agree_at_n1024():
@@ -504,13 +529,14 @@ def test_short_real_rows_crash_like_fresh_tallies(tree_d8):
 
 def _record_reconstructions(mp, calls):
     """Make the engine's ``reconstruct_local_topology`` record its
-    (center, own, reports, trusted) arguments in ``calls``."""
+    (center, own, reports, trusted, h_row) arguments in ``calls``."""
     real = engine.reconstruct_local_topology
 
-    def recorded(center, own, reports, k, expected_degree=None, trusted=frozenset()):
-        calls.append((center, own, reports, trusted))
+    def recorded(center, own, reports, k, expected_degree=None, trusted=frozenset(),
+                 h_row=None):
+        calls.append((center, own, reports, trusted, h_row))
         return real(center, own, reports, k, expected_degree=expected_degree,
-                    trusted=trusted)
+                    trusted=trusted, h_row=h_row)
 
     mp.setattr(engine, "reconstruct_local_topology", recorded)
 
@@ -519,17 +545,18 @@ def _check_shared_tables(run, calls):
     assert len(calls) == run.n
     truth = {v: claim_table(run.truthful_report(v)) for v in range(run.n)}
     held = {}  # truthful sender -> ids of the table objects receivers got
-    for center, own, reports, trusted in calls:
-        assert center in trusted
+    for center, own, reports, trusted, h_row in calls:
+        assert center in trusted and own is h_row(center)
+        assert not reports.keys() & trusted  # a lie is never trusted
         for u in trusted:
-            table = own if u == center else reports[u]
+            table = h_row(u)
             # read after the run, so a write to a shared table would show
             assert table == truth[u]
             held.setdefault(u, set()).add(id(table))
     assert held.keys() == set(range(run.n))  # each node trusts itself
     assert all(len(ids) == 1 for ids in held.values())
     # every view holds its center's own table by reference, not a copy
-    views = [(run.views[c], c, own) for c, own, _, _ in calls if c in run.views]
+    views = [(run.views[c], c, own) for c, own, *_ in calls if c in run.views]
     assert views and all(view.tables[c] is own for view, c, own in views)
 
 

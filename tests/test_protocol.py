@@ -55,6 +55,18 @@ def test_color_distribution():
         assert abs((colors >= r).mean() - p) < tol, f"tail at r={r}"
 
 
+def test_colors_equal_the_geometric_draw_of_the_same_stream():
+    # the closed form reads the doubles numpy's p >= 1/3 geometric search reads
+    for seed in range(200):
+        for size in (0, 1, 7, 1024, 2**16):
+            want = stream(seed, "colors", 0, 1, 1).geometric(0.5, size=size)
+            got = draw_colors(stream(seed, "colors", 0, 1, 1), size)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+            if size:
+                assert 1 <= got.min() and got.max() <= 53
+
+
 @pytest.mark.parametrize("seed,extra", [(-1, ()), (2**64, ()), (0, (-1,)), (0, (1, 2**64))])
 def test_streams_reject_seeds_and_counters_outside_the_range(seed, extra):
     # masked, 2^64 would alias 0 and -1 would alias 2^64 - 1
@@ -409,6 +421,11 @@ def test_reconstruction_keeps_phantom_on_claimants_word():
     assert 99 in view.members and view.h_adjacent(1, 99)
 
 
+def test_reconstruction_needs_h_row_for_trusted_holders():
+    with pytest.raises(ValueError, match="h_row"):
+        reconstruct_local_topology(0, claim_table((1, 7)), {}, 2, trusted={0, 1})
+
+
 def _reconstruct_before(center, own_ports, reports, k, expected_degree=None):
     """The reconstruction rule before its fast rewrite, kept verbatim as the
     reference; it returns the view's adjacency tables instead of a view."""
@@ -476,8 +493,9 @@ _PERTURBATIONS = ("drop", "phantom", "add", "remove", "self_loop", "center")
 def _claim_sets(draw):
     """Truthful reports on a small random multigraph, then a few lies.
 
-    The last item is the trusted set: the center and every reporter whose
-    list the perturbations left as its real ports."""
+    Returns (center, real ports of every node, reports, k, expected
+    degree, trusted): the trusted set holds the center and every reporter
+    whose list the perturbations left as its real ports."""
     n = draw(st.integers(min_value=2, max_value=9))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
@@ -515,33 +533,129 @@ def _claim_sets(draw):
     k = draw(st.integers(min_value=0, max_value=3))
     expected = draw(st.sampled_from([None, len(ports[center])]))
     trusted = {center, *reports} - perturbed
-    return center, tuple(ports[center]), reports, k, expected, trusted
+    return center, ports, reports, k, expected, trusted
+
+
+def _real_rows(ports):
+    """``h_row`` over the real ports: a node's real claim table, {} for an id
+    that is no node."""
+    return lambda u: claim_table(ports.get(u, ()))
+
+
+def _trusted_call(center, ports, tables, k, expected, trusted):
+    """Reconstruct as the engine does: the trusted holders, except any real
+    row of a length other than ``expected`` (the caller vouches only for
+    the rest), are read through their real rows; everyone else's report
+    is passed."""
+    vouched = {u for u in trusted
+               if u not in tables or expected is None or len(ports[u]) == expected}
+    return reconstruct_local_topology(
+        center, claim_table(ports[center]),
+        {u: t for u, t in tables.items() if u not in vouched}, k,
+        expected_degree=expected, trusted=vouched, h_row=_real_rows(ports))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_claim_sets())
 def test_reconstruction_equals_the_reference_rule(case):
-    center, own, reports, k, expected, trusted = case
+    center, ports, reports, k, expected, trusted = case
+    own = ports[center]
     want = _reconstruct_before(center, own, reports, k, expected)
     tables = _tallied(reports)
     before = {u: dict(t) for u, t in tables.items()}
-    # the full scan, then the scan that skips pairs of trusted tables; the
-    # caller vouches for a trusted report's length, so a real row of
-    # another length is not trusted
-    vouched = {u for u in trusted
-               if u not in reports or expected is None or len(reports[u]) == expected}
-    for trust in (frozenset(), vouched):
-        got = reconstruct_local_topology(center, claim_table(own), tables, k,
-                                         expected_degree=expected, trusted=trust)
-        _assert_same_reconstruction(got, want, tables)
+    # the scan of every pair finds the reference's first conflict
+    got = reconstruct_local_topology(center, claim_table(own), tables, k,
+                                     expected_degree=expected)
+    _assert_same_reconstruction(got, want, tables)
+    # the scan from the untrusted holders finds a conflict iff it does
+    got = _trusted_call(center, ports, tables, k, expected, trusted)
+    _assert_same_reconstruction(got, want, tables, same_pair=False)
     assert tables == before                 # the claim tables are only read
 
 
-def _assert_same_reconstruction(got, want, tables):
+_SETUP_LIES = ("truth", "silent", "hide_phantom", "phantom", "drop", "add", "swap",
+               "duplicate", "name_liar")
+
+
+@st.composite
+def _setup_cases(draw):
+    """One receiver's setup as the engine runs it.
+
+    H is the union of d/2 random Hamiltonian cycles (parallel edges
+    occur), plus up to two extra edges that give their ends odd degree.
+    The receiver hears its H-ball of radius k; each Byzantine sender in
+    it tells the truth, stays silent or lies: ``topology_liar``'s hidden
+    child and phantom (the hidden child may be out of the ball or
+    silent), a phantom or a dropped port (wrong length), a real node
+    added or swapped in, a port doubled, or a port swapped for the
+    smallest other liar (two such liars name each other).  Returns
+    (center, real ports, reports, k, expected degree, trusted)."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    d = draw(st.sampled_from([2, 4]))
+    ports: dict[int, list[int]] = {v: [] for v in range(n)}
+    cycles = [draw(st.permutations(range(n))) for _ in range(d // 2)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2))
+    for a, b in [e for c in cycles for e in zip(c, c[1:] + c[:1])] + extra:
+        if a != b:
+            ports[a].append(b)
+            ports[b].append(a)
+    center = draw(st.integers(0, n - 1))
+    k = draw(st.integers(min_value=1, max_value=3))
+    ball, frontier = {center}, {center}
+    for _ in range(k):
+        frontier = {w for u in frontier for w in ports[u]} - ball
+        ball |= frontier
+    byz = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+    reports, trusted = {}, {center}
+    for u in sorted(ball - {center}):
+        lst = list(ports[u])
+        how = draw(st.sampled_from(_SETUP_LIES)) if u in byz else "truth"
+        x = draw(st.integers(0, 50))
+        others = [b for b in byz if b != u]
+        if how == "truth":
+            trusted.add(u)
+        elif how == "silent":
+            continue
+        elif how == "hide_phantom" and lst:
+            lst.remove(min(lst))
+            lst.append(n + u)
+        elif how == "phantom":
+            lst.append(n + u)
+        elif how == "drop" and lst:
+            lst.pop(x % len(lst))
+        elif how == "add":
+            lst.append(x % n)
+        elif how == "swap" and lst:
+            lst[x % len(lst)] = (x // 7) % n
+        elif how == "duplicate" and lst:
+            lst[x % len(lst)] = lst[(x + 1) % len(lst)]
+        elif how == "name_liar" and lst and others:
+            lst[lst.index(min(lst))] = others[0]
+        reports[u] = lst
+    order = draw(st.permutations(sorted(reports)))
+    expected = draw(st.sampled_from([None, d]))
+    return center, ports, {u: reports[u] for u in order}, k, expected, trusted
+
+
+@settings(max_examples=600, deadline=None)
+@given(_setup_cases())
+def test_lie_only_scan_finds_a_conflict_iff_the_all_pairs_scan_does(case):
+    # oracle: _reconstruct_before, the scan of every pair of holders, with
+    # every report length-checked and tallied
+    center, ports, reports, k, expected, trusted = case
+    want = _reconstruct_before(center, ports[center], reports, k, expected)
+    tables = _tallied(reports)
+    got = _trusted_call(center, ports, tables, k, expected, trusted)
+    _assert_same_reconstruction(got, want, tables, same_pair=False)
+
+
+def _assert_same_reconstruction(got, want, tables, same_pair=True):
     if isinstance(want, TopologyConflict):
         assert isinstance(got, TopologyConflict)
-        assert (got.center, got.a, got.b, got.detail) == (
-            want.center, want.a, want.b, want.detail)
+        assert (got.center, got.detail) == (want.center, want.detail)
+        if same_pair:
+            assert (got.a, got.b) == (want.a, want.b)
     else:
         assert isinstance(got, LocalView)
         assert got.members == frozenset(want)

@@ -18,8 +18,9 @@ The ``reference_check`` workload's seed-0 trials must give the transcript
 hashes pinned in ``perfbench/hashes.json``.  No other test pins the
 reference executor's hardened late_injector transcripts, so without this a
 change to the reference path could move them unnoticed until a benchmark
-run.  The ``attacked_large`` seed-0 trial is checked the same way: it is
-the only pinned run of the hardened fast path at n = 2^16.  So are the
+run.  The ``attacked_large`` trials of seeds 0–2 are checked the same way:
+they are the only pinned runs of the hardened fast path at n = 2^16, where
+the liar's lie receivers crash in setup.  So are the
 ``honest_sweep`` seed-0 trials, the only pinned runs of the basic protocol
 at n = 2^10..2^14.
 """
@@ -165,25 +166,26 @@ def test_reference_run_calls_the_traced_layers_through_the_engine(monkeypatch):
     assert calls["conflicts"] == res.crashed_honest > 0
 
 
-def _assert_seed_0_pins(monkeypatch, workload: str, size: int) -> None:
-    """Run ``workload``'s seed-0 trials; compare with ``hashes.json``, read only."""
+def _assert_pins(monkeypatch, workload: str, size: int, seed: int = 0) -> None:
+    """Run ``workload``'s trials of ``seed``; compare with ``hashes.json``, read only."""
     monkeypatch.syspath_prepend(str(WORKER.parent))  # the worker imports its siblings
     spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    pinned = worker.load_pins()[workload]["0"]
-    trials = worker.build_trials(workload, 0, engine.ExperimentConfig)
+    pinned = worker.load_pins()[workload][str(seed)]
+    trials = worker.build_trials(workload, seed, engine.ExperimentConfig)
     assert len(trials) == len(pinned) == size
     assert {key: engine.run_experiment(cfg).transcript_hash for key, cfg in trials} == pinned
 
 
 def test_reference_check_seed_0_gives_the_pinned_hashes(monkeypatch):
-    _assert_seed_0_pins(monkeypatch, "reference_check", 10)
+    _assert_pins(monkeypatch, "reference_check", 10)
 
 
-def test_attacked_large_seed_0_gives_the_pinned_hash(monkeypatch):
-    _assert_seed_0_pins(monkeypatch, "attacked_large", 1)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attacked_large_gives_the_pinned_hash(monkeypatch, seed):
+    _assert_pins(monkeypatch, "attacked_large", 1, seed)
 
 
 def test_honest_sweep_seed_0_gives_the_pinned_hashes(monkeypatch):
-    _assert_seed_0_pins(monkeypatch, "honest_sweep", 5)
+    _assert_pins(monkeypatch, "honest_sweep", 5)
