@@ -86,6 +86,14 @@ class AdversaryStrategy:
 
     def answer_query(self, target: int, asker: int, color: int,
                      phase: int, subphase: int, r: int):
+        """Byzantine ``target``'s answer to ``asker`` about ``color`` in
+        round ``r``: a predecessor, None, or ``TRUTHFUL`` for its log's.
+
+        Answers must be pure functions of the arguments: the fast path
+        evaluates every candidate item at once, including items that a
+        node never consumes because an earlier one passed, so neither the
+        number nor the order of calls is that of the reference.
+        """
         return TRUTHFUL
 
 

@@ -22,21 +22,24 @@ The hardened protocol adds only its forwarding log, three (i+1, n)
 arrays, and a narrow Byzantine correction: only nodes that a sending
 Byzantine node, an injected extra or a lie report reaches are looked at,
 the best honest item there comes from the same key with Byzantine
-senders zeroed, and Python verifies only the Byzantine items that outrank
-it (lie receivers verify every item).  ``_collect_injections`` asks the
-adversary for every injection before flooding, each round's sends are
-counted from H's degrees (they run along real edges, so none is
-dropped), and ``_close_subphase`` applies the continuation test, the
-decision and the fold.  The reference loop is driven entirely by
-``byzantine_node_step`` (the honest transition for nodes without a
-policy) plus ``deliver_round``.  Both consume identical color streams and
-fold identical per-subphase state into the transcript hash, so equality
-of results is testable.  The fold hands each subphase's rows k_1..k_i,
-compact and in the flood's dtype, and a snapshot of ``decided`` to the
-run's ``_Transcript``: one worker thread widens the rows to int64 and
-hashes them while the next flood runs (small items are hashed inline), so
-the digest is that of an inline int64 fold, and the run joins the thread
-before it returns or raises.
+senders zeroed, and only the Byzantine items that outrank it are
+verified (lie receivers verify every item), by one array walk of their
+claimed chains through H's ports and the forwarding log; an item goes
+through ``verify_token`` whole only at a receiver with a reconstructed
+view or when its walk asks a Byzantine node that a strategy answers
+for.  ``_collect_injections`` asks the adversary for every injection
+before flooding, each round's sends are counted from H's degrees (they
+run along real edges, so none is dropped), and ``_close_subphase``
+applies the continuation test, the decision and the fold.  The
+reference loop is driven entirely by ``byzantine_node_step`` (the honest
+transition for nodes without a policy) plus ``deliver_round``.  Both
+consume identical color streams and fold identical per-subphase state
+into the transcript hash, so equality of results is testable.  The fold
+hands each subphase's rows k_1..k_i, compact and in the flood's dtype,
+and a snapshot of ``decided`` to the run's ``_Transcript``: one worker
+thread widens the rows to int64 and hashes them while the next flood
+runs (small items are hashed inline), so the digest is that of an inline
+int64 fold, and the run joins the thread before it returns or raises.
 The reference copies one node state per node step and keeps forwarding
 logs per subphase, so it grows linearly with run length.  Both executors'
 setups patch in only Byzantine reports, scan for conflicts from the lies,
@@ -45,7 +48,7 @@ row only when a view reads it, once per run.  On a 2-core Xeon VM at its
 fast speed (the host also runs up to ~1.7x slower), a hardened liar +
 max_injector trial takes ~0.06 s at n=128, ~0.3 s at n=512 and ~0.8 s at
 n=1024 on the reference (a fifth of it setup), where the fast path takes
-~0.02 s; a liar + late_injector trial at 2^16 takes ~0.6 s on the fast
+~0.02 s; a liar + late_injector trial at 2^16 takes ~0.5 s on the fast
 path, ~0.01 s of it setup.
 """
 
@@ -615,27 +618,81 @@ def _subphase_masks(run: _Run) -> _Masks:
                   lie, lie_nodes)
 
 
+def _verify_items(run: _Run, log: _ForwardingLog, hop: int, v: np.ndarray,
+                  c: np.ndarray, s: np.ndarray, p: np.ndarray):
+    """(verdict, queries) of each item received by ``v`` with color ``c``
+    from sender ``s`` naming pred ``p``, sent in round ``hop`` of the
+    log's subphase: what ``verify_token`` gives each, and charges none.
+
+    The claimed chains are walked back together, as arrays, one step per
+    round r, exactly as ``verify_color_provenance`` walks one for a
+    ``_TrueView``: a hop must be an H-edge (a pred outside [0, n) is
+    none), a crashed target answers None and an honest one answers from
+    the log at round r.  Two kinds of item go through ``verify_token``
+    whole, with its queries counted and taken back: items at a receiver
+    with a view, and items whose walk reaches a Byzantine target while a
+    strategy answers for it.
+    """
+    n, ports = run.n, run.topo.h.ports
+    c, p = c.astype(np.int64, copy=False), p.astype(np.int64, copy=False)
+    ok = (c >= 1) & (ports[:, v] == s).any(axis=0) & ((p == ORIGIN) == (hop == 1))
+    nq = np.zeros(v.size, dtype=np.int64)
+    scalar = np.isin(v, list(run.views)) if run.views else np.zeros(v.size, dtype=bool)
+    walk = np.flatnonzero(ok & ~scalar)
+    prev, pred = s[walk], p[walk]
+    answers = run.strategy is not None  # else Byzantine targets answer from the log
+    for r in range(hop - 1, hop - min(hop, run.k), -1):
+        # ORIGIN and phantoms are no H-neighbour; the port padding n is none either
+        edge = (pred >= 0) & (pred < n)
+        edge[edge] = (ports[:, prev[edge]] == pred[edge]).any(axis=0)
+        ok[walk[~edge]] = False
+        walk, prev = walk[edge], pred[edge]
+        nq[walk] += 1
+        if answers:
+            byz = run.byz_mask[prev] & ~run.crashed[prev]
+            scalar[walk[byz]] = True
+            walk, prev = walk[~byz], prev[~byz]
+        pred = log.pred[r, prev]
+        good = (~run.crashed[prev] & log.send[r, prev]
+                & (log.color[r, prev].astype(np.int64) == c[walk])
+                & ((pred == ORIGIN) == (r == 1)))
+        ok[walk[~good]] = False
+        walk, prev, pred = walk[good], prev[good], pred[good]
+        if not walk.size:
+            break
+    cnt = run.counters
+    for x in np.flatnonzero(scalar).tolist():
+        tok = Token(color=int(c[x]), phase=log.phase, subphase=log.subphase, hop=hop,
+                    src=int(s[x]), pred=int(p[x]))
+        before = cnt.queries
+        ok[x] = run.verify_token(int(v[x]), tok, log.phase, log.subphase, log.get)
+        nq[x], cnt.queries = cnt.queries - before, before
+    return ok, nq
+
+
 def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
-                   recv_src: np.ndarray, send, ext: np.ndarray, verify,
+                   recv_src: np.ndarray, log: _ForwardingLog, ext: np.ndarray,
                    masks: _Masks) -> None:
     """Verification in one round of the hardened fast path, in place.
 
     ``recv_col``/``recv_src`` hold each node's gathered top color and its
-    smallest sender, decoded from ``key``; ``send`` is the round's
-    (mask, color, pred), the mask with a False sentinel entry n, and
+    smallest sender, decoded from ``key``; ``log`` holds the round's
+    sends at row ``hop``, its mask with a False sentinel entry n, and
     ``ext`` its injected extras as rows (sender, target, color, pred).  A
     node that no sending Byzantine node, extra or lie report touches
     keeps them and pays the query window min(hop, k) − 1 if it receives
     anything.  At a touched node the key with Byzantine senders zeroed
-    gives the best honest item, and ``verify(v, color, sender, pred)``
-    runs only on the Byzantine items that outrank it, in the (−color,
-    sender) order with ports before extras on ties; the first that passes
-    wins, else the honest item does at the same query cost.  Lie
-    receivers verify every item.
+    gives the best honest item; the Byzantine items that outrank it, in
+    the (−color, sender) order with ports before extras on ties, are the
+    candidates (lie receivers take every item).  ``_verify_items`` walks
+    every candidate's chain at once, and each node consumes its
+    candidates in order up to the first that passes, paying the queries
+    of each it consumes and a rejection for each that fails: the winner,
+    else the honest item at the query window's cost.
     """
     n, ports, cnt = run.n, run.topo.h.ports, run.counters
     bits = n.bit_length()
-    sending, send_color, send_pred = send
+    sending, send_color, send_pred = log.row(hop)
     wl = min(hop, run.k) - 1
     byz_senders = run.byz_nodes[sending[run.byz_nodes]]
     # H is symmetric with multiplicity: b is on v's ports iff v is on b's
@@ -661,15 +718,21 @@ def _correct_round(run: _Run, hop: int, key: np.ndarray, recv_col: np.ndarray,
     items = (np.concatenate([q, eq]), np.concatenate([send_color[srcs], ext[2, e]]),
              np.concatenate([srcs, ext[0, e]]), np.concatenate([send_pred[srcs], ext[3, e]]))
     order = np.lexsort((items[2], -items[1], items[0]))  # stable: ports first
+    x, c, s, p = (a[order] for a in items)
     col, src = hk >> bits, n - (hk & ((1 << bits) - 1))
     done = np.zeros(hot.size, dtype=bool)
-    for x, c, s, p in zip(*(a[order].tolist() for a in items)):
-        if done[x]:
-            continue
-        if not verify(int(hot[x]), c, s, p):  # every item is Byzantine or at a lie receiver
-            cnt.rejected += 1
-            continue
-        col[x], src[x], done[x] = c, s, True
+    if x.size:
+        ok, nq = _verify_items(run, log, hop, hot[x], c, s, p)
+        starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        # per node, its first passing candidate, else x.size
+        first = np.minimum.reduceat(np.where(ok, np.arange(x.size), x.size), starts)
+        ends = np.r_[starts[1:], x.size]
+        last = np.minimum(first, ends - 1)
+        consumed = np.arange(x.size) <= np.repeat(last, ends - starts)
+        cnt.queries += int(nq[consumed].sum())
+        cnt.rejected += int(np.count_nonzero(consumed & ~ok))
+        w = first[first < ends]
+        col[x[w]], src[x[w]], done[x[w]] = c[w], s[w], True
     cnt.queries += wl * int(((hk > 0) & ~done).sum())
     recv_col[hot] = col
     recv_src[hot] = src
@@ -711,9 +774,15 @@ def _collect_injections(run: _Run, i: int, subphases: list[int], threshold: floa
 
 def _delivered_extras(run: _Run, b: int, inj) -> list[int]:
     """Count Byzantine node ``b``'s extra ``inj`` as sent; return the
-    targets it reaches (G-neighbours of ``b``), counting the rest dropped."""
-    targets = inj.targets if inj.targets is not None else run.truthful_report(b)
-    hit = [int(dst) for dst in targets if run.topo.g_adjacent(b, int(dst))]
+    targets it reaches (G-neighbours of ``b``), counting the rest dropped.
+    The default targets are ``b``'s H-ports, and as in ``deliver_round``
+    an H-neighbour other than ``b`` is a G-neighbour."""
+    if inj.targets is None:
+        targets = run.truthful_report(b)
+        hit = [dst for dst in targets if dst != b or run.topo.g_adjacent(b, b)]
+    else:
+        targets = inj.targets
+        hit = [int(dst) for dst in targets if run.topo.g_adjacent(b, int(dst))]
     run.counters.sent += len(targets)
     run.counters.dropped += len(targets) - len(hit)
     return hit
@@ -737,11 +806,12 @@ def _close_subphase(run: _Run, i: int, j: int, last: bool, k_rows: np.ndarray,
 
 
 class _ForwardingLog:
-    """What every node sent in each round of one hardened subphase, as
+    """What every node sent in each round of hardened subphase (i, j), as
     three (i+1, n) arrays; row t holds round t's send mask, color and
     pred as sent after its replaces (the pred only where the node sends)."""
 
-    def __init__(self, i: int, n: int, dtype):
+    def __init__(self, i: int, j: int, n: int, dtype):
+        self.phase, self.subphase = i, j
         self.send = np.zeros((i + 1, n + 1), dtype=bool)  # column n stays False under the sentinel ports
         self.color = np.zeros((i + 1, n), dtype=dtype)
         self.pred = np.full((i + 1, n), ORIGIN, dtype=np.int64)  # injected preds may be phantom ids
@@ -821,14 +891,10 @@ def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
     buf = np.empty((ports.shape[0], n) if S == 1 else (n, S), dtype=dtype)
     log = None
     if bits:
-        log = _ForwardingLog(i, n, dtype)
+        log = _ForwardingLog(i, js[0], n, dtype)
         low = (1 << bits) - 1
         rank = np.arange(n, 0, -1, dtype=dtype)[:, None]
         recv_src, pos = np.empty(n, dtype=dtype), np.empty((n, 1), dtype=bool)
-
-        def verify(v: int, c: int, s: int, p: int) -> bool:
-            tok = Token(color=c, phase=i, subphase=js[0], hop=t - 1, src=s, pred=p)  # round t
-            return run.verify_token(v, tok, i, js[0], log.get)
 
     for t in range(1, i + 2):
         if t > 1:
@@ -850,8 +916,8 @@ def _fast_flood(run: _Run, i: int, js: list[int], last: bool, threshold: float,
                 np.subtract(n, recv_src, out=recv_src)
                 np.right_shift(recv, bits, out=recv)
                 recv[idle] = 0
-                _correct_round(run, t - 1, key[:, 0], recv, recv_src, log.row(t - 1),
-                               ext.get(t, no_ext)[:4], verify, masks)
+                _correct_round(run, t - 1, key[:, 0], recv, recv_src, log,
+                               ext.get(t, no_ext)[:4], masks)
                 np.maximum(recv, 0, out=recv)  # a verified extra may carry a color below 1
             np.maximum(k_rows[t - 1], top, out=k_rows[t - 1])
             np.greater(top, best, out=send)

@@ -544,12 +544,12 @@ def longest_byzantine_chain(h: HMultigraph, byz: np.ndarray, cap: int | None = N
 
     Exact DFS over the induced subgraph.  With ``cap`` set, the search
     stops as soon as a path of ``cap`` nodes is found and returns ``cap``,
-    meaning "at least cap".  Returns 0 for an empty set.
+    meaning "at least cap".  Returns 0 for an empty set.  ``byz`` is read
+    as ``_placement_mask`` reads a placement: node indices or a mask.
     """
-    byz = np.asarray(byz, dtype=np.int64)
-    if byz.size == 0:
+    byz_set = set(np.flatnonzero(_placement_mask(h.n, byz)).tolist())
+    if not byz_set:
         return 0
-    byz_set = set(int(b) for b in byz)
     adj = {
         b: [x for x in set(h.neighbors(b).tolist()) if x in byz_set and x != b]
         for b in byz_set

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzcount import engine
-from byzcount.adversary import AdversaryStrategy, Injection
+from byzcount.adversary import TRUTHFUL, AdversaryStrategy, Injection
 from byzcount.engine import (
     ConfigError,
     ExperimentConfig,
@@ -171,6 +171,23 @@ def test_deliver_round_checks_the_g_row_beyond_h_ports():
                                    (1, _tok(3, 1, 2), {}, (3, 2))):
         assert deliver_round({0: [(dst, msg)]}, topo, counters) == want
         assert (counters.sent, counters.dropped) == counts
+
+
+def test_default_extra_targets_reach_what_their_listed_ports_reach():
+    # an extra's default targets are its sender's H-ports, found G-adjacent
+    # without a G-row lookup; a self-loop port (twice on node 0) is not
+    h = HMultigraph.from_edges(6, 2, [(0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                      (3, 4, 1), (4, 5, 1), (5, 1, 1)])
+    cfg = ExperimentConfig(n=6, d=2, relax_degree=True, delta=1.0, algorithm="byzantine")
+    run = engine._Run(cfg, 0, topo=augment_small_world(h, k=2), byz=np.arange(6))
+    got = {}
+    for b in range(6):
+        for targets in (None, tuple(h.neighbors(b).tolist())):
+            run.counters = engine._Counters()
+            hit = engine._delivered_extras(run, b, Injection(color=9, pred=ORIGIN, targets=targets))
+            got.setdefault(b, []).append((hit, run.counters.sent, run.counters.dropped))
+        assert got[b][0] == got[b][1]
+    assert got[0][0] == ([1], 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +366,25 @@ def test_executors_agree_on_a_grid(n, seed, algorithm, label):
 def test_executors_agree_under_late_injection():
     _assert_executors_agree(n=128, seed=4, algorithm="byzantine",
                             strategy="late_injector")
+
+
+@pytest.mark.parametrize("cfg,calls", [
+    (dict(n=512, seed=0, strategy="composite", strategy_params=LIAR_MAX), 0),
+    (dict(n=128, seed=2, strategy="late_injector"), None),  # 2 walks meet an injector's answer
+])
+def test_fast_path_verifies_items_one_at_a_time_only_at_byzantine_answers(cfg, calls, monkeypatch):
+    # the array walk answers every query of an honest or crashed target;
+    # only an item whose walk asks a Byzantine node for its answer goes
+    # through verify_token whole, so liar + max_injector makes no such call
+    seen = []
+    real = engine._Run.verify_token
+    monkeypatch.setattr(engine._Run, "verify_token",
+                        lambda self, *a: seen.append(a) or real(self, *a))
+    run_experiment(ExperimentConfig(algorithm="byzantine", **cfg))
+    if calls is None:
+        assert seen
+    else:
+        assert len(seen) == calls
 
 
 @pytest.mark.parametrize("label", ["topology_liar", "max_injector", "composite"])
@@ -588,19 +624,21 @@ def test_shared_claim_tables_are_never_mutated():
 def test_relayed_token_names_the_smallest_equal_sender(monkeypatch):
     # on a 6-cycle, Byzantine node 0 hears color 5 from both neighbors 1
     # and 5 and relays it in round 2 with the smaller sender as predecessor
+    # (its items outrank the honest relays of nodes 2 and 4, so both are walked)
     h = HMultigraph.from_edges(6, 2, [(u, (u + 1) % 6, 1) for u in range(6)])
     seen = []
-    real = engine.verify_color_provenance
+    real = engine._verify_items
 
-    def spy(view, tok, query):
-        seen.append(tok)
-        return real(view, tok, query)
+    def spy(run, log, hop, v, c, s, p):
+        seen.extend((hop, *item) for item in zip(v.tolist(), c.tolist(), s.tolist(), p.tolist()))
+        return real(run, log, hop, v, c, s, p)
 
-    monkeypatch.setattr(engine, "verify_color_provenance", spy)
+    monkeypatch.setattr(engine, "_verify_items", spy)
     simulate_subphase(augment_small_world(h, k=1), 2,
                       colors=[1, 5, 1, 1, 1, 5], byz=np.array([0]),
                       strategy="honest_mimic", relax_degree=True)
-    assert {(t.color, t.pred) for t in seen if t.hop == 2} == {(5, 1)}
+    # (hop, receiver, color, sender, pred)
+    assert {item for item in seen if item[0] == 2} == {(2, 1, 5, 0, 1), (2, 5, 5, 0, 1)}
 
 
 def _honest_subphase(topo, phase, colors):
@@ -860,26 +898,49 @@ def _compare_with_sorted_inbox(real, salt):
     """A stand-in for ``engine._correct_round`` that runs it and the
     reference on the same round and asserts the same outcome: recv_col,
     recv_src where a node processes, the query and rejection deltas and
-    the sequence of verify calls."""
-    def checked(run, hop, key, recv_col, recv_src, send, ext, verify, masks):
-        calls = {"new": [], "ref": []}
+    each node's in-order sequence of consumed items.  Both sides get the
+    same salted verdict and query cost per item: the reference through
+    its ``verify``, which charges the cost, and ``_correct_round`` from a
+    stand-in for ``engine._verify_items``, which records the candidates
+    in the order it gets them."""
+    def salted(v, c, s, p):
+        return hash((salt, v, c, s, p)) % 2 == 0, hash((salt, "q", v, c, s, p)) % 4
 
-        def recording(side):
-            def fake(v, c, s, p):
-                calls[side].append((v, c, s, p))
-                return hash((salt, v, c, s, p)) % 2 == 0
-            return fake
-
+    def checked(run, hop, key, recv_col, recv_src, log, ext, masks):
         cnt = run.counters
+        ref_calls, candidates = [], []
+
+        def verify(v, c, s, p):
+            ref_calls.append((v, c, s, p))
+            ok, cost = salted(v, c, s, p)
+            cnt.queries += cost
+            return ok
+
+        def walk(run, log_, hop_, v, c, s, p):
+            assert (log_, hop_) == (log, hop)
+            rows = list(zip(v.tolist(), c.tolist(), s.tolist(), p.tolist()))
+            candidates.extend(rows)
+            ok, nq = zip(*(salted(*row) for row in rows))
+            return np.array(ok, dtype=bool), np.array(nq, dtype=np.int64)
+
         before = cnt.queries, cnt.rejected
-        send_mask, send_color, send_pred = send
+        send_mask, send_color, send_pred = log.row(hop)
         extras = [tuple(row) for row in ext.T.tolist()]
         ref_col, ref_src = _sorted_inbox_round(run, hop, (send_mask[:run.n], send_color, send_pred),
-                                               extras, recording("ref"))
+                                               extras, verify)
         ref_delta = cnt.queries - before[0], cnt.rejected - before[1]
         cnt.queries, cnt.rejected = before
-        real(run, hop, key, recv_col, recv_src, send, ext, recording("new"), masks)
-        assert calls["new"] == calls["ref"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_verify_items", walk)
+            real(run, hop, key, recv_col, recv_src, log, ext, masks)
+        # a node consumes its candidates up to the first that passes
+        consumed, won = [], set()
+        for row in candidates:
+            if row[0] not in won:
+                consumed.append(row)
+                if salted(*row)[0]:
+                    won.add(row[0])
+        assert consumed == ref_calls
         assert (cnt.queries - before[0], cnt.rejected - before[1]) == ref_delta
         np.testing.assert_array_equal(recv_col, ref_col)
         proc = ~run.crashed & ~run.suppressed
@@ -893,7 +954,8 @@ def test_narrow_correction_equals_the_sorted_inbox_rule(case):
     # random small multigraphs (parallel edges, isolated nodes), Byzantine
     # nodes that relay, replace (colors <= 0 too) and inject extras that
     # may tie their broadcast; crashed nodes, lie receivers, scripted
-    # honest colors below 1, and a verifier that fails about half the calls
+    # honest colors below 1, and a verifier that fails about half the items
+    # at a salted query cost
     h, roles = case["h"], case["roles"]
     n = h.n
     cfg = ExperimentConfig(n=n, d=2, relax_degree=True, delta=1.0,
@@ -908,6 +970,102 @@ def test_narrow_correction_equals_the_sorted_inbox_rule(case):
             engine._correct_round, case["salt"]))
         engine._fast_flood(run, case["phase"], [1], False, 0.0,
                            np.array(case["colors"], dtype=np.int64)[:, None])
+
+
+class _Answers(AdversaryStrategy):
+    """Query answers read from a {(target, round): answer} table."""
+
+    def __init__(self, answers):
+        super().__init__()
+        self.answers = answers
+
+    def answer_query(self, target, asker, color, phase, subphase, r):
+        return self.answers.get((target, r), TRUTHFUL)
+
+
+class _AnyEdgeView:
+    """A reconstructed view in which every pair is an edge."""
+
+    def __init__(self, center, k):
+        self.center, self.k = center, k
+
+    def h_adjacent(self, a, b):
+        return True
+
+
+@st.composite
+def _walk_cases(draw):
+    n = draw(st.integers(3, 9))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          min_size=n, max_size=3 * n))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))  # parallel edges
+    h = HMultigraph.from_edges(n, 2, [(u, v, 1) for u, v in pairs])
+    hop = draw(st.integers(1, 5))
+    i = draw(st.integers(hop, 5))
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    wild = st.sampled_from([ORIGIN, n, n + 1, *range(n)])  # ORIGIN, phantoms, any node
+    log = engine._ForwardingLog(i, 1, n, dtype)
+    items = []
+    for _ in range(draw(st.integers(1, 8))):
+        # a chain v <- s <- x2 <- … <- x_hop, mostly along H, then ORIGIN
+        v = draw(node)
+        nbrs = h.neighbors(v).tolist()
+        chain = [v, draw(st.sampled_from(nbrs) if nbrs and draw(st.integers(0, 4)) else node)]
+        for _ in range(hop - 1):
+            u = chain[-1]
+            nbrs = h.neighbors(u).tolist() if 0 <= u < n else []
+            chain.append(draw(st.sampled_from(nbrs) if nbrs and draw(st.integers(0, 5)) else wild))
+        chain.append(ORIGIN)
+        c = draw(st.integers(-1, 4) | st.integers(250, 300))  # past uint8 too
+        for r in range(1, hop):
+            u = chain[hop - r + 1]
+            if 0 <= u < n:  # the log holds what u sent in round r, as its dtype wraps it
+                log.send[r, u] = True
+                log.color[r, u] = c % 256 if dtype is np.uint8 else c
+                log.pred[r, u] = chain[hop - r + 2]
+        items.append((v, c, chain[1], chain[2] if draw(st.integers(0, 5)) else draw(wild)))
+    for _ in range(draw(st.integers(0, 4))):  # denials, log-colour mismatches, other preds
+        r, u = draw(st.integers(1, i)), draw(node)
+        what = draw(st.sampled_from(["send", "color", "pred"]))
+        if what == "send":
+            log.send[r, u] = not log.send[r, u]
+        elif what == "color":
+            log.color[r, u] = draw(st.integers(0, 5))
+        else:
+            log.pred[r, u] = draw(wild)
+    answer = st.none() | st.just(TRUTHFUL) | wild
+    return dict(
+        h=h, k=draw(st.integers(1, 3)), hop=hop, log=log, items=items,
+        roles=draw(st.lists(st.sampled_from("hhhbcv"), min_size=n, max_size=n)),
+        answers=draw(st.none() | st.dictionaries(st.tuples(node, st.integers(1, i)), answer)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_walk_cases())
+def test_array_walk_equals_verify_token_on_every_item(case):
+    # chains mostly along H, with crashed and Byzantine targets (answering
+    # from a table, or from the log when no strategy is set), ORIGIN and
+    # phantom preds (n among them) at any step, round-1 items, denials,
+    # log colours that differ or that a uint8 log wraps, and receivers
+    # whose view is not H; every item's verdict and query count must be
+    # the walk of verify_color_provenance through verify_token's query
+    h, roles, hop, log = case["h"], case["roles"], case["hop"], case["log"]
+    n = h.n
+    cfg = ExperimentConfig(n=n, d=2, relax_degree=True, delta=1.0, algorithm="byzantine")
+    byz = np.array([v for v in range(n) if roles[v] == "b"], dtype=np.int64)
+    run = engine._Run(cfg, 0, topo=augment_small_world(h, k=case["k"]), byz=byz)
+    run.strategy = None if case["answers"] is None else _Answers(case["answers"])
+    run.crashed[[v for v in range(n) if roles[v] == "c"]] = True
+    run.views = {v: _AnyEdgeView(v, run.k) for v in range(n) if roles[v] == "v"}
+    v, c, s, p = (np.array(col, dtype=np.int64) for col in zip(*case["items"]))
+    ok, nq = engine._verify_items(run, log, hop, v, c, s, p)
+    assert run.counters.queries == 0
+    for x, (vx, cx, sx, px) in enumerate(case["items"]):
+        tok = Token(color=cx, phase=log.phase, subphase=log.subphase, hop=hop, src=sx, pred=px)
+        before = run.counters.queries
+        want = run.verify_token(vx, tok, log.phase, log.subphase, log.get)
+        assert (bool(ok[x]), int(nq[x])) == (want, run.counters.queries - before), (x, tok)
 
 
 # at n=128 (bits = 8) the key c·2^8 + n fits int32 up to c = 2^23 − 1

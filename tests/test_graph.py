@@ -587,6 +587,19 @@ def test_chain_length_on_planted_path(cycle6):
     assert longest_byzantine_chain(cycle6, byz, cap=2) == 2
 
 
+def test_chain_length_reads_a_mask_as_its_placement(cycle6):
+    # a boolean mask is the placement it marks, not the nodes {0, 1}
+    h = generate_h_graph(1024, 8, seed=3)
+    placements = [(cycle6, np.array([0, 2, 4])), (h, place_byzantine(1024, 0.3, seed=1))]
+    for g, byz in placements:
+        mask = np.zeros(g.n, dtype=bool)
+        mask[byz] = True
+        assert longest_byzantine_chain(g, mask) == longest_byzantine_chain(g, byz)
+    assert longest_byzantine_chain(h, mask) >= 3
+    with pytest.raises(ValueError, match="byz"):
+        longest_byzantine_chain(h, np.ones(5, dtype=bool))
+
+
 def test_chain_length_against_networkx_longest_path():
     import networkx as nx
 
