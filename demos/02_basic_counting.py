@@ -28,4 +28,5 @@ print(f"decided: {res.decided_fraction:.3f} of nodes "
 counts = np.bincount(res.decided)
 for i in np.flatnonzero(counts):
     print(f"  estimate {i}: {counts[i]:5d} nodes")
-print(f"success inside the (0, 4]*log2(n) band: {res.success_fraction:.3f}")
+med = float(np.median(res.estimates))
+print(f"median estimate: {med:.0f} = {med / math.log2(n):.2f} * log2(n)")

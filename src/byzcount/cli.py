@@ -83,9 +83,9 @@ def cmd_run(args) -> int:
     results = run_trials(cfg)
     write_trial_csv(results, out + ".csv")
     write_summary_json(results, out + ".summary.json")
-    mean_success = sum(r.success_fraction for r in results) / len(results)
+    mean_decided = sum(r.decided_fraction for r in results) / len(results)
     print(f"wrote {out}.csv and {out}.summary.json "
-          f"({cfg.trials} trial(s), mean success {mean_success:.3f})")
+          f"({cfg.trials} trial(s), mean decided {mean_decided:.3f})")
     return EXIT_OK
 
 
@@ -149,25 +149,24 @@ def cmd_sweep(args) -> int:
             rows.append(row)
             continue
         ests = [e for r in results for e in r.estimates.tolist()]
-        safe_fracs = [r.byz_safe_success_fraction for r in results
-                      if r.byz_safe_success_fraction is not None]
+        safe_ests = [e for r in results for e in honest_estimates(
+            r.class_labels != "byz_safe", r.crashed, r.decided)[1].tolist()]
         q1, q3 = (np.percentile(ests, [25, 75]) if ests else (math.nan, math.nan))
         row.update(
             status="ok",
             est_median=median(ests) if ests else "",
             est_q1=float(q1) if ests else "",
             est_q3=float(q3) if ests else "",
-            success_mean=sum(r.success_fraction for r in results) / len(results),
-            byz_safe_success_mean=(sum(safe_fracs) / len(safe_fracs)
-                                   if safe_fracs else ""),
+            decided_mean=sum(r.decided_fraction for r in results) / len(results),
+            byz_safe_est_median=median(safe_ests) if safe_ests else "",
             rounds_mean=sum(r.rounds_total for r in results) / len(results),
             crashed_honest_mean=sum(r.crashed_honest for r in results) / len(results),
         )
         rows.append(row)
 
     header = ["cell", *_SWEEP_LIST_FIELDS, "trials", "cell_seed", "status",
-              "est_median", "est_q1", "est_q3", "success_mean",
-              "byz_safe_success_mean", "rounds_mean", "crashed_honest_mean"]
+              "est_median", "est_q1", "est_q3", "decided_mean",
+              "byz_safe_est_median", "rounds_mean", "crashed_honest_mean"]
     with open(out + ".csv", "w", newline="") as fh:
         fh.write("# sweep " + json.dumps({"spec": spec, "seed": root_seed,
                                           "trials": trials}) + "\n")
@@ -179,20 +178,55 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# (column, check, what it needs) for each per-node CSV column analyze reads
+_ROW_RULES = (
+    ("trial", str.isdecimal, "an integer >= 0"),
+    ("decided", ("True", "False").__contains__, "True or False"),
+    ("crashed", ("True", "False").__contains__, "True or False"),
+    ("class", ("byz", "bus", "byz_safe").__contains__, "one of byz, bus, byz_safe"),
+)
+
+
+def _data_lines(fh, where: list):
+    """The lines of ``fh`` that are not ``#`` comments; ``where[0]`` holds
+    the file line number of the last one yielded."""
+    for where[0], line in enumerate(fh, start=1):
+        if not line.startswith("#"):
+            yield line
+
+
+def _node_row(rec: dict) -> tuple[int, bool, bool, int]:
+    """(trial, Byzantine, crashed, estimate or 0) of one per-node CSV row;
+    a malformed row is a ValueError naming what is wrong with it."""
+    if None in rec or None in rec.values():
+        raise ValueError("missing or extra field: need one value per header column")
+    for name, ok, need in _ROW_RULES:
+        if not ok(rec[name]):
+            raise ValueError(f"{name}: need {need}, got {rec[name]!r}")
+    decided, est = rec["decided"] == "True", rec["estimate"]
+    if decided and not (est.isdecimal() and int(est) >= 1):
+        raise ValueError(f"estimate: a decider needs an integer >= 1, got {est!r}")
+    return (int(rec["trial"]), rec["class"] == "byz", rec["crashed"] == "True",
+            int(est) if decided else 0)
+
+
 def cmd_analyze(args) -> int:
     out = args.out or os.path.join(_outdir(), "analysis.csv")
     rows = []
     for path in args.inputs:
         per_trial: dict[int, list] = {}
         with open(path) as fh:
-            reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+            where = [0]
+            reader = csv.DictReader(_data_lines(fh, where))
             if not set(NODE_CSV_FIELDS) <= set(reader.fieldnames or ()):
                 raise ConfigError(f"{path}: not a per-node run CSV "
                                   f"(need columns {', '.join(NODE_CSV_FIELDS)})")
             for rec in reader:
-                est = int(rec["estimate"]) if rec["decided"] == "True" and rec["estimate"] else 0
-                per_trial.setdefault(int(rec["trial"]), []).append(
-                    (rec["class"] == "byz", rec["crashed"] == "True", est))
+                try:
+                    trial, *rest = _node_row(rec)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}, line {where[0]}: {exc}") from None
+                per_trial.setdefault(trial, []).append(rest)
         for t, recs in sorted(per_trial.items()):
             byz, crashed, decided = (np.array(col) for col in zip(*recs))
             alive, ests = honest_estimates(byz, crashed, decided)

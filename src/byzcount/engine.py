@@ -140,10 +140,9 @@ class ExperimentConfig:
 
     ``algorithm`` selects the undefended ("basic") or hardened
     ("byzantine") protocol; ``strategy`` names the adversary ("none"
-    means no Byzantine placement at all).  ``band`` are multipliers of
-    log2(n) bounding acceptable estimates for success accounting.
-    ``engine`` picks the vectorized fast path or the per-node reference
-    loop (results are identical; the reference loop is for small n).
+    means no Byzantine placement at all).  ``engine`` picks the vectorized
+    fast path or the per-node reference loop (results are identical; the
+    reference loop is for small n).
     """
 
     n: int = 1024
@@ -157,7 +156,6 @@ class ExperimentConfig:
     phase_cap: int | None = None
     subphase_factor: int | str = 1
     trials: int = 1
-    band: tuple[float, float] = (0.0, 4.0)
     relax_degree: bool = False
     engine: str = "fast"
 
@@ -195,12 +193,6 @@ class ExperimentConfig:
         sf = self.subphase_factor
         if sf != "phase" and not (_integer(sf) and sf >= 1):
             raise ConfigError("subphase_factor: integer >= 1 or 'phase'")
-        if not (isinstance(self.band, (list, tuple)) and len(self.band) == 2
-                and all(_number(x) for x in self.band)):
-            raise ConfigError(f"band: need [lo, hi], got {self.band!r}")
-        lo, hi = self.band
-        if not (0.0 <= lo <= hi):
-            raise ConfigError("band: need 0 <= lo <= hi")
         return self
 
     def resolved_phase_cap(self) -> int:
@@ -209,9 +201,7 @@ class ExperimentConfig:
         return max(4, math.ceil(10 * math.log2(self.n)))
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["band"] = list(self.band)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -220,15 +210,7 @@ class ExperimentConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"config: unknown fields {', '.join(unknown)}")
-        kwargs = dict(data)
-        band = kwargs.get("band")
-        if isinstance(band, (list, tuple)) and all(_number(x) for x in band):
-            kwargs["band"] = tuple(float(x) for x in band)
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"config: {exc}") from exc
-        return cfg.validate()
+        return cls(**data).validate()
 
 
 @dataclass
@@ -1018,7 +1000,7 @@ def honest_estimates(byz: np.ndarray, crashed: np.ndarray,
 @dataclass(eq=False)
 class RunResult:
     """Everything measured in one trial; every reported figure derives
-    from these arrays and ``config["band"]``."""
+    from these arrays."""
 
     config: dict
     trial: int
@@ -1038,43 +1020,16 @@ class RunResult:
     transcript_hash: str
 
     @property
-    def n(self) -> int:
-        return self.decided.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.config["d"]
-
-    @property
     def messages_delivered(self) -> int:
         return self.messages_sent - self.messages_dropped
 
     def _counted(self) -> tuple[int, np.ndarray]:
         return honest_estimates(self.byz_mask, self.crashed, self.decided)
 
-    def _in_band(self, est: np.ndarray) -> int:
-        log_n = math.log2(self.config["n"])
-        lo, hi = self.config["band"]
-        return int(((est >= lo * log_n) & (est <= hi * log_n)).sum())
-
     @property
     def estimates(self) -> np.ndarray:
         """Estimates of the honest, uncrashed nodes that decided."""
         return self._counted()[1]
-
-    @property
-    def success_fraction(self) -> float:
-        """In-band deciders over all honest uncrashed nodes, so nodes that
-        never decided (phase cap) count against success."""
-        alive, est = self._counted()
-        return self._in_band(est) / alive if alive else 0.0
-
-    @property
-    def byz_safe_success_fraction(self) -> float | None:
-        """In-band deciders over the byz-safe deciders; None if there are none."""
-        _, est = honest_estimates(self.class_labels != "byz_safe", self.crashed,
-                                  self.decided)
-        return self._in_band(est) / est.size if est.size else None
 
     @property
     def decided_fraction(self) -> float:
@@ -1092,15 +1047,19 @@ class RunResult:
 
     def to_summary(self) -> dict:
         est = self.estimates
+        safe_alive, safe_est = honest_estimates(self.class_labels != "byz_safe",
+                                                self.crashed, self.decided)
         return {
             "protocol": self.config.get("algorithm"),
             "trial": self.trial,
             "trial_seed": self.trial_seed,
             "config": self.config,
-            "success_fraction": self.success_fraction,
-            "byz_safe_success_fraction": self.byz_safe_success_fraction,
             "decided_fraction": self.decided_fraction,
             "median_estimate": float(np.median(est)) if est.size else None,
+            "byz_safe_decided_fraction": (safe_est.size / safe_alive
+                                          if safe_alive else None),
+            "byz_safe_median_estimate": (float(np.median(safe_est))
+                                         if safe_est.size else None),
             "crashed_honest": self.crashed_honest,
             "non_deciders": self.non_deciders,
             "capped": self.capped,

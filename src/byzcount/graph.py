@@ -103,7 +103,10 @@ class HMultigraph:
     def __post_init__(self) -> None:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
         n = self.n
-        u, v = self.edges[:, 0], self.edges[:, 1]
+        ends = self.edges[:, :2]
+        if ends.size and (ends.min() < 0 or ends.max() >= n):
+            raise ValueError(f"edge endpoint out of range [0, {n})")
+        u, v = ends.T
         # one sort of the arc keys src·n + dst orders the arcs by (src, dst)
         key = np.concatenate([u * n + v, v * n + u])
         key.sort()
@@ -120,8 +123,7 @@ class HMultigraph:
     @classmethod
     def from_edges(cls, n: int, d: int, edges, seed: int = 0) -> "HMultigraph":
         """Wrap an explicit edge list, as given: it need not be d-regular."""
-        return cls(n=n, d=d, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 3),
-                   ids=derive_node_ids(n, seed), seed=seed)
+        return cls(n=n, d=d, edges=edges, ids=derive_node_ids(n, seed), seed=seed)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbors of v with multiplicity (one entry per incident edge), sorted."""
@@ -671,8 +673,5 @@ def load_topology(path: str) -> Topology:
                 rows.append([int(parts[0]), int(parts[1]), int(parts[2])])
             except ValueError as exc:
                 raise ValueError(f"malformed edge line {lineno}") from exc
-    edges = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-    if edges.size and (edges[:, :2].min() < 0 or edges[:, :2].max() >= n):
-        raise ValueError("edge endpoint out of range")
-    h = HMultigraph.from_edges(n=n, d=d, edges=edges, seed=seed)
+    h = HMultigraph.from_edges(n=n, d=d, edges=rows, seed=seed)
     return augment_small_world(h, k=k)

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from statistics import median
 
 import numpy as np
 import pytest
 
 from byzcount import cli
+from byzcount.engine import honest_estimates
 from byzcount.graph import generate_h_graph, load_topology
 from byzcount.rng import stream
 
@@ -125,7 +127,7 @@ def test_bad_strategy_params_are_config_errors(tmp_path, strategy, params, dry_r
 
 @pytest.mark.parametrize("fields", [
     {"epsilon": "x"}, {"delta": "0.5"}, {"phase_cap": "3"}, {"seed": "a"},
-    {"band": ["lo", 4]},
+    {"trials": "2"},
 ])
 def test_mistyped_scalar_fields_exit_three(tmp_path, fields, capsys):
     config = _write(tmp_path / "cfg.json", {"n": 64, **fields})
@@ -134,9 +136,10 @@ def test_mistyped_scalar_fields_exit_three(tmp_path, fields, capsys):
 
 
 def test_run_unknown_field_is_config_error(tmp_path, capsys):
-    # the paper fixes alpha and both radii by formula: none is a config field
+    # the paper fixes alpha and both radii by formula: none is a config
+    # field; nor is a success band, since every figure counts all deciders
     for name, value in (("warp_drive", 1), ("alpha_variant", "prose"),
-                        ("a_radius", 2), ("tree_radius", 2)):
+                        ("a_radius", 2), ("tree_radius", 2), ("band", ["lo", 4])):
         config = _write(tmp_path / "cfg.json", {"n": 64, name: value})
         assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
         assert f"unknown fields {name}" in capsys.readouterr().err
@@ -208,8 +211,36 @@ def test_single_cell_sweep_matches_a_direct_run(tmp_path):
     assert cli.main(["run", "--config", config,
                      "--out", str(tmp_path / "r")]) == 0
     summaries = json.loads((tmp_path / "r.summary.json").read_text())
-    mean_success = sum(s["success_fraction"] for s in summaries) / 2
-    assert float(row["success_mean"]) == pytest.approx(mean_success)
+    mean_decided = sum(s["decided_fraction"] for s in summaries) / 2
+    assert float(row["decided_mean"]) == pytest.approx(mean_decided)
+    assert row["byz_safe_est_median"] == ""      # n = 64: the class is empty
+
+
+def test_sweep_pools_byz_safe_estimates_over_trials(tmp_path, monkeypatch):
+    # the byz-safe class is empty at sizes a test can sweep, so the honest
+    # nodes with any estimate but 4 (the cell's median), undecided and
+    # crashed ones included, are labelled byz-safe after the run
+    run_trials, pooled = cli.run_trials, []
+
+    def relabelled(cfg):
+        results = run_trials(cfg)
+        for r in results:
+            safe = ~r.byz_mask & (r.decided != 4)
+            r.class_labels = np.where(safe, "byz_safe", r.class_labels)
+            pooled.extend(honest_estimates(r.class_labels != "byz_safe", r.crashed,
+                                           r.decided)[1].tolist())
+        return results
+
+    monkeypatch.setattr(cli, "run_trials", relabelled)
+    spec = _write(tmp_path / "sweep.json",
+                  {"n": [128], "delta": [0.7], "algorithm": ["byzantine"],
+                   "strategy": ["topology_liar"], "trials": 3, "seed": 3})
+    assert cli.main(["sweep", "--config", spec, "--out", str(tmp_path / "s")]) == 0
+    lines = (ln for ln in (tmp_path / "s.csv").read_text().splitlines()
+             if not ln.startswith("#"))
+    (row,) = csv.DictReader(lines)
+    assert float(row["est_median"]) == 4
+    assert float(row["byz_safe_est_median"]) == median(pooled) != 4
 
 
 def test_sweep_marks_failed_cells_and_continues(tmp_path):
@@ -221,10 +252,10 @@ def test_sweep_marks_failed_cells_and_continues(tmp_path):
     rows = list(csv.DictReader(lines))
     statuses = [row["status"] for row in rows]
     assert statuses[0] == "ok" and statuses[1].startswith("failed:")
-    metrics = ("est_median", "est_q1", "est_q3", "success_mean",
-               "byz_safe_success_mean", "rounds_mean", "crashed_honest_mean")
+    metrics = ("est_median", "est_q1", "est_q3", "decided_mean",
+               "byz_safe_est_median", "rounds_mean", "crashed_honest_mean")
     assert all(rows[1][name] == "" for name in metrics)
-    assert rows[0]["success_mean"] != ""
+    assert rows[0]["decided_mean"] != ""
 
 
 def test_sweep_passes_fixed_fields_to_every_cell(tmp_path):
@@ -362,3 +393,26 @@ def test_analyze_rejects_a_file_that_is_not_a_run_csv(tmp_path, capsys, make_inp
     err = capsys.readouterr().err
     assert "config error" in err and str(path) in err and "not a per-node run CSV" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row,fragment", [
+    ("0,7,bus,True,4", "missing or extra field"),
+    ("0,7,bus,True,4,False,x", "missing or extra field"),
+    ("t,7,bus,True,4,False", "trial: need an integer"),
+    ("0,7,bus,yes,4,False", "decided: need True or False"),
+    ("0,7,bus,True,4,1", "crashed: need True or False"),
+    ("0,7,honest,True,4,False", "class: need one of byz, bus, byz_safe"),
+    ("0,7,bus,True,x,False", "estimate: a decider needs an integer >= 1"),
+    ("0,7,bus,True,0,False", "estimate: a decider needs an integer >= 1"),
+    ("0,7,bus,True,,False", "estimate: a decider needs an integer >= 1"),
+])
+def test_analyze_rejects_a_malformed_row_by_file_and_line(tmp_path, capsys, row, fragment):
+    path = tmp_path / "r.csv"
+    header, good = "trial,node_id,class,decided,estimate,crashed", "0,7,bus,True,4,False"
+    path.write_text("\n".join(["# a comment line", header, good, row, good]) + "\n")
+    out = tmp_path / "analysis.csv"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}, line 4: {fragment}" in err
+    assert not out.exists()
+

@@ -21,6 +21,7 @@ from byzcount.engine import (
     ExperimentConfig,
     RunResult,
     deliver_round,
+    honest_estimates,
     run_experiment,
     run_trials,
     simulate_subphase,
@@ -64,8 +65,8 @@ def test_config_defaults_resolve():
     ({"trials": 0}, "trials"),
     ({"subphase_factor": 0}, "subphase_factor"),
     ({"subphase_factor": "round"}, "subphase_factor"),
-    ({"band": (-1.0, 2.0)}, "band"),
-    ({"band": (3.0, 2.0)}, "band"),
+    ({"n": 64.0}, "n: need an integer"),
+    ({"strategy": None}, "strategy: need a string"),
     ({"strategy": "max_injector", "strategy_params": {"magnitud": 9}}, "magnitud"),
     ({"strategy": "late_injector", "strategy_params": {"inject_round": 0}}, "inject_round"),
     ({"strategy": "max_injector", "strategy_params": {"magnitude": 0}}, "magnitude"),
@@ -80,7 +81,7 @@ def test_config_defaults_resolve():
     ({"trials": True}, "trials: need an integer"),
     ({"relax_degree": "yes"}, "relax_degree"),
     ({"subphase_factor": 2.5}, "subphase_factor"),
-    ({"band": ("0", 4.0)}, "band"),
+    ({"engine": 1}, "engine: need a string"),
     ({"n": 64, "seed": -1}, r"seed: need an integer in \[0, 2\^64\)"),
     ({"n": 64, "seed": 2**64}, r"seed: need an integer in \[0, 2\^64\)"),
 ])
@@ -100,11 +101,13 @@ def test_relax_degree_admits_fixture_parameters():
 
 
 def test_from_dict_round_trip_and_unknown_field():
-    cfg = ExperimentConfig.from_dict({"n": 64, "band": [1.0, 3.0], "seed": 4})
-    assert cfg.n == 64 and cfg.band == (1.0, 3.0)
-    # the paper fixes alpha and both radii by formula: none is a config field
+    cfg = ExperimentConfig.from_dict({"n": 64, "phase_cap": 7, "seed": 4})
+    assert (cfg.n, cfg.phase_cap, cfg.seed) == (64, 7, 4)
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    # the paper fixes alpha and both radii by formula: none is a config
+    # field; nor is a success band, since every figure counts all deciders
     for name, value in (("flux_capacitor", 1), ("alpha_variant", "prose"),
-                        ("a_radius", 2), ("tree_radius", 2)):
+                        ("a_radius", 2), ("tree_radius", 2), ("band", [0, 4])):
         with pytest.raises(ConfigError, match=f"unknown fields {name}"):
             ExperimentConfig.from_dict({"n": 64, name: value})
 
@@ -194,7 +197,7 @@ def test_default_extra_targets_reach_what_their_listed_ports_reach():
 # metrics assembly
 # ---------------------------------------------------------------------------
 
-def _metrics(topo, decided, byz=(), band=(0.5, 4.0), labels=None):
+def _metrics(topo, decided, byz=(), labels=None, crashed=None):
     n = topo.n
     byz = np.array(sorted(byz), dtype=np.int64)
     byz_mask = np.zeros(n, dtype=bool)
@@ -203,9 +206,10 @@ def _metrics(topo, decided, byz=(), band=(0.5, 4.0), labels=None):
         cls = classify_nodes(topo, byz, delta=0.6)
         labels = np.where(byz_mask, "byz", np.where(cls.bus, "bus", "byz_safe"))
     return RunResult(
-        config=ExperimentConfig(n=n, band=band).to_dict(), trial=0, trial_seed=1,
+        config=ExperimentConfig(n=n).to_dict(), trial=0, trial_seed=1,
         node_ids=topo.h.ids, class_labels=np.asarray(labels),
-        decided=np.asarray(decided, dtype=np.int64), crashed=np.zeros(n, dtype=bool),
+        decided=np.asarray(decided, dtype=np.int64),
+        crashed=np.zeros(n, dtype=bool) if crashed is None else np.asarray(crashed),
         byz_mask=byz_mask, capped=False, rounds_total=5,
         messages_sent=10, messages_dropped=0,
         queries_total=0, tokens_rejected=0, per_phase=[], transcript_hash="f" * 8)
@@ -213,40 +217,54 @@ def _metrics(topo, decided, byz=(), band=(0.5, 4.0), labels=None):
 
 def test_success_fraction_full_and_empty(topo512):
     n = topo512.n
-    lo = 0.5 * np.log2(n)
-    all_in = _metrics(topo512, np.full(n, int(lo) + 1))
-    assert all_in.success_fraction == 1.0
+    full = _metrics(topo512, np.full(n, 5))
+    assert full.decided_fraction == 1.0
+    assert full.non_deciders == 0
     none = _metrics(topo512, np.zeros(n, dtype=np.int64))
-    assert none.success_fraction == 0.0
+    assert none.decided_fraction == 0.0
     assert none.non_deciders == n
+    assert none.to_summary()["median_estimate"] is None
 
 
 def test_success_fraction_counts_only_the_band(topo512):
-    n = topo512.n                     # band is [4.5, 36] at n=512
+    # every estimate >= 1 is a decision, however small
+    n = topo512.n
     decided = np.zeros(n, dtype=np.int64)
-    decided[:256] = 5                 # in band
-    decided[256:384] = 1              # decided, below the band
+    decided[:256] = 5
+    decided[256:384] = 1
     out = _metrics(topo512, decided)
-    assert out.success_fraction == pytest.approx(256 / 512)
     assert out.decided_fraction == pytest.approx(384 / 512)
     assert out.non_deciders == 128
-    assert out.byz_safe_success_fraction is None   # blast radius covers all
+    sm = out.to_summary()
+    assert sm["median_estimate"] == 5.0
+    # the blast radius covers every node: the byz-safe class is empty
+    assert sm["byz_safe_decided_fraction"] is None
+    assert sm["byz_safe_median_estimate"] is None
 
 
 def test_byz_safe_success_counts_byz_safe_deciders_only(topo512):
-    n = topo512.n                     # band is [4.5, 36] at n=512
+    n = topo512.n
     labels = np.full(n, "bus", dtype="<U8")
     labels[:100] = "byz_safe"
     labels[500:] = "byz"
     decided = np.full(n, 5, dtype=np.int64)
-    decided[:30] = 1                  # byz-safe, below the band
-    decided[30:40] = 0                # byz-safe non-deciders stay out
+    decided[:40] = 1
+    decided[40:50] = 0                # byz-safe non-deciders
     decided[100:] = 1                 # bus and byz nodes never count here
-    out = _metrics(topo512, decided, byz=range(500, n), labels=labels)
-    assert out.byz_safe_success_fraction == pytest.approx(60 / 90)
-    assert out.success_fraction == pytest.approx(60 / 500)
-    assert out.non_deciders == 10
-    np.testing.assert_array_equal(out.estimates, decided[:500][decided[:500] > 0])
+    crashed = np.zeros(n, dtype=bool)
+    crashed[40:45] = True             # crashed non-deciders and crashed
+    crashed[80:100] = True            # deciders count in neither figure
+    out = _metrics(topo512, decided, byz=range(500, n), labels=labels,
+                   crashed=crashed)
+    sm = out.to_summary()
+    # 75 live byz-safe nodes; 40 ones and 30 fives decided
+    assert sm["byz_safe_decided_fraction"] == pytest.approx(70 / 75)
+    assert sm["byz_safe_median_estimate"] == 1.0
+    assert out.decided_fraction == pytest.approx(470 / 475)
+    assert out.non_deciders == 5
+    assert out.crashed_honest == 25
+    live = ~crashed[:500]
+    np.testing.assert_array_equal(out.estimates, decided[:500][live & (decided[:500] > 0)])
 
 
 def test_class_labels_partition():
@@ -1230,9 +1248,9 @@ def test_honest_runs_decide_in_band():
     for seed in range(5):
         res = run_experiment(ExperimentConfig(n=1024, algorithm="basic",
                                               seed=seed))
-        sm = res.to_summary()
-        assert sm["success_fraction"] >= 0.9
-        assert 3 <= sm["median_estimate"] <= 10
+        alive, est = honest_estimates(res.byz_mask, res.crashed, res.decided)
+        assert (est <= 4 * np.log2(1024)).sum() >= 0.9 * alive
+        assert 3 <= res.to_summary()["median_estimate"] <= 10
 
 
 def test_estimate_grows_with_network_size():
@@ -1274,22 +1292,24 @@ def test_csv_and_json_outputs(tmp_path):
     assert len(summaries) == 2
     for sm in summaries:
         assert sm["config"]["n"] == 64
-        assert set(sm) >= {"success_fraction", "rounds_total",
+        assert set(sm) >= {"decided_fraction", "median_estimate",
+                           "byz_safe_decided_fraction",
+                           "byz_safe_median_estimate", "rounds_total",
                            "messages_total", "queries_total",
                            "transcript_hash"}
 
 
 # to_summary() of four fast configs without an injector, as sha256 of its
 # JSON (key order included): a capped run where every node is a
-# non-decider, crashed honest nodes, success below 1, silent nodes
+# non-decider, crashed honest nodes, Byzantine deciders, silent nodes
 SUMMARY_DIGESTS = [
-    (dict(n=300, algorithm="basic", phase_cap=2), "d8ebe03a8c68fcda"),
+    (dict(n=300, algorithm="basic", phase_cap=2), "9f96f959079ee247"),
     (dict(n=256, algorithm="byzantine", strategy="topology_liar", delta=0.7),
-     "de24a51d15e8420a"),
-    (dict(n=256, algorithm="byzantine", strategy="honest_mimic", delta=0.4,
-          band=(0.5, 1.0)), "a9ed4426c9f1769e"),
+     "5f187d65cc77319c"),
+    (dict(n=256, algorithm="byzantine", strategy="honest_mimic", delta=0.4),
+     "256fe5df68e46739"),
     (dict(n=512, algorithm="byzantine", strategy="silent", delta=0.7),
-     "92b40a8279a4445e"),
+     "8df7810aaa46703c"),
 ]
 
 

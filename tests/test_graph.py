@@ -687,3 +687,11 @@ def test_load_rejects_malformed_files(tmp_path, text, msg):
     path.write_text(text)
     with pytest.raises(ValueError, match=msg):
         load_topology(str(path))
+
+
+@pytest.mark.parametrize("edge", [(0, 7, 1), (0, -1, 1)])
+def test_edge_lists_with_endpoints_out_of_range_are_rejected(edge):
+    # one check in the container, so a hand-built graph (and a run on it)
+    # fails as clearly as a loaded file
+    with pytest.raises(ValueError, match=r"edge endpoint out of range \[0, 5\)"):
+        HMultigraph.from_edges(5, 2, [(0, 1, 1), edge])

@@ -12,7 +12,9 @@ benchmark worker's set-up): the transcript fold runs on a plain
 ``threading.Thread``, and ``threading`` is loaded by numpy already.
 
 The demos that read a ``RunResult`` run to completion, so a change to what
-it offers cannot silently break them.
+it offers cannot silently break them.  README's list of run-config fields
+must name ``ExperimentConfig``'s fields in order, so a field added or
+deleted there cannot leave the docs stale.
 
 The ``reference_check`` workload's seed-0 trials must give the transcript
 hashes pinned in ``perfbench/hashes.json``.  No other test pins the
@@ -25,8 +27,10 @@ the liar's lie receivers crash in setup.  So are the
 at n = 2^10..2^14.
 """
 
+import dataclasses
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -80,6 +84,14 @@ def test_numpy_is_the_only_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
     assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
+def test_readme_lists_the_run_config_fields():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    lead = "Run configs are JSON objects with `ExperimentConfig` fields:"
+    listing = text.split(lead, 1)[1].split(";", 1)[0]
+    assert re.findall(r"`(\w+)`", listing) == \
+        [f.name for f in dataclasses.fields(engine.ExperimentConfig)]
 
 
 def _load_tracer():
